@@ -3,8 +3,7 @@
 //! Each module under [`experiments`] regenerates one table or figure of
 //! *"Local Memory-Aware Kernel Perforation"* (CGO'18): the workload
 //! generation, the parameter sweep, the baseline and the report formatting.
-//! The `repro` binary is the command-line front end; the criterion benches
-//! under `benches/` reuse the same experiment functions at reduced sizes.
+//! The `repro` binary is the command-line front end.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -49,7 +49,7 @@ impl Ctx {
         }
     }
 
-    /// Tiny preset for tests and criterion benches.
+    /// Tiny preset for tests.
     pub fn tiny() -> Self {
         Self {
             error_size: 64,
@@ -327,6 +327,8 @@ mod tests {
     fn ir_gaussian_workload_runs_in_all_modes() {
         let def = ir_gaussian_rows1((8, 8));
         let image = kp_data::synth::photo_like(32, 32, 7);
+        // The lane-batched VM at both optimization levels, and the
+        // tree-walking reference.
         for (mode, opt) in [
             (kp_gpu_sim::ExecMode::Compiled, kp_gpu_sim::OptLevel::Full),
             (kp_gpu_sim::ExecMode::Compiled, kp_gpu_sim::OptLevel::None),

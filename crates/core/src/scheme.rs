@@ -292,17 +292,6 @@ impl PerforationScheme {
         }
     }
 
-    /// The old five-argument positional form of [`PerforationScheme::loads`],
-    /// kept as a migration shim.
-    #[deprecated(note = "use loads(LoadQuery { tile, padded, global }) instead")]
-    pub fn loads_at(&self, tile: &TileGeometry, px: usize, py: usize, gx: i64, gy: i64) -> bool {
-        self.loads(LoadQuery {
-            tile,
-            padded: (px, py),
-            global: (gx, gy),
-        })
-    }
-
     /// Exact fraction of the padded tile loaded for the work group at
     /// `group` (the row/column pattern is global, so edge groups can differ
     /// slightly from interior ones).
@@ -725,21 +714,6 @@ mod tests {
         assert_eq!(SkipLevel::Half.max_gap(), 1);
         assert_eq!(SkipLevel::ThreeQuarters.period(), 4);
         assert_eq!(SkipLevel::ThreeQuarters.max_gap(), 2);
-    }
-
-    #[test]
-    fn deprecated_positional_shim_matches_load_query() {
-        #[allow(deprecated)]
-        fn shim(s: &PerforationScheme, t: &TileGeometry, px: usize, py: usize) -> bool {
-            let (gx, gy) = t.global_of((1, 1), px, py);
-            s.loads_at(t, px, py, gx, gy)
-        }
-        let t = tile();
-        let s = PerforationScheme::Rows(SkipLevel::ThreeQuarters);
-        for py in 0..t.padded_h() {
-            let (gx, gy) = t.global_of((1, 1), 0, py);
-            assert_eq!(shim(&s, &t, 0, py), loads(&s, &t, 0, py, gx, gy));
-        }
     }
 
     #[test]

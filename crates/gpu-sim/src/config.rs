@@ -17,31 +17,23 @@ use serde::{Deserialize, Serialize};
 /// register bytecode at construction and keeps the tree-walking evaluator
 /// as a differential reference). Hand-written Rust kernels ignore it.
 ///
-/// All modes are required to produce bit-identical outputs, statistics
-/// and fault logs; `Interpreted` exists for differential testing and as
-/// the known-good reference when debugging the compiler, and `Vectorized`
-/// batches work-items through each bytecode instruction in lockstep
-/// wavefronts (the CPU analogue of SIMT execution).
+/// Both modes are required to produce bit-identical outputs, statistics
+/// and fault logs for race-free kernels (same-phase cross-item memory
+/// races are undefined under the OpenCL barrier contract to begin with);
+/// `Interpreted` exists for differential testing and as the known-good
+/// reference when debugging the compiler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecMode {
-    /// Execute compiled register bytecode, one work item at a time (the
-    /// scalar VM default).
+    /// Execute compiled register bytecode. Kernels that declare a
+    /// lane-batched path ([`crate::Kernel::lane_batched`]) run each phase
+    /// in waves of [`DeviceConfig::wavefront_size`] work items that
+    /// advance through every instruction in lockstep — one host wave per
+    /// simulated wavefront, the CPU analogue of SIMT execution.
     #[default]
     Compiled,
-    /// Re-walk the AST for every statement (slow reference path).
+    /// Re-walk the AST for every statement, one work item at a time (slow
+    /// reference path).
     Interpreted,
-    /// Execute compiled register bytecode for `lanes` work items of a
-    /// group in lockstep per instruction, with a structure-of-arrays
-    /// register file shared across the lanes. `lanes: 0` resolves
-    /// automatically (the `KP_SIM_LANES` environment variable, else a
-    /// built-in default — see `resolve_lanes`). Bit-identical to the
-    /// other modes for race-free kernels (same-phase cross-item memory
-    /// races are undefined under the OpenCL barrier contract to begin
-    /// with).
-    Vectorized {
-        /// Work items per wavefront batch; `0` = auto.
-        lanes: usize,
-    },
 }
 
 impl std::fmt::Display for ExecMode {
@@ -49,8 +41,6 @@ impl std::fmt::Display for ExecMode {
         match self {
             ExecMode::Compiled => write!(f, "compiled"),
             ExecMode::Interpreted => write!(f, "interpreted"),
-            ExecMode::Vectorized { lanes: 0 } => write!(f, "vectorized"),
-            ExecMode::Vectorized { lanes } => write!(f, "vectorized({lanes})"),
         }
     }
 }
@@ -451,12 +441,6 @@ mod tests {
         assert_eq!(DeviceConfig::test_tiny().exec_mode, ExecMode::Compiled);
         assert_eq!(ExecMode::Compiled.to_string(), "compiled");
         assert_eq!(ExecMode::Interpreted.to_string(), "interpreted");
-        // `lanes: 0` means auto-resolve at launch time.
-        assert_eq!(ExecMode::Vectorized { lanes: 0 }.to_string(), "vectorized");
-        assert_eq!(
-            ExecMode::Vectorized { lanes: 4 }.to_string(),
-            "vectorized(4)"
-        );
     }
 
     #[test]

@@ -283,22 +283,19 @@ pub(crate) fn run_group<K: Kernel + ?Sized>(
 
     scratch.arena.reset();
     scratch.log.reset(bufs.len());
-    // In vectorized mode work items run in lockstep wavefront batches of
-    // `lanes` items; otherwise one item at a time (the scalar reference).
-    let lanes = match cfg.exec_mode {
-        ExecMode::Vectorized { lanes } => resolve_lanes(lanes),
-        _ => 0,
-    };
+    // The path is chosen per kernel: one with a lane-batched path runs in
+    // lockstep waves under the compiled strategy; every other kernel, and
+    // every kernel under the interpreted reference, runs item by item.
+    let waves = cfg.exec_mode == ExecMode::Compiled && kernel.lane_batched();
     let mut group_cycles = cfg.group_dispatch_cycles;
     for phase in 0..phases {
         if let Some(p) = scratch.profile.as_mut() {
             p.reset_phase();
         }
-        if lanes > 0 {
+        if waves {
             run_phase_waves(
                 kernel,
                 phase,
-                lanes,
                 cfg,
                 plan,
                 bufs,
@@ -376,18 +373,17 @@ pub(crate) fn run_group<K: Kernel + ?Sized>(
     }
 }
 
-/// Runs one phase of one group in lockstep wavefront batches of `lanes`
-/// work items (the [`ExecMode::Vectorized`] execution path of
-/// [`run_group`]). Waves cover the group's flat item ids in row-major
-/// chunks — the last wave is a shorter *tail* when the group size is not a
-/// multiple of `lanes` — and after each wave the per-lane fault buffers
-/// are merged into the group log in lane order, so the log is identical
-/// to the one the scalar item loop records.
+/// Runs one phase of one group in lockstep waves of one simulated
+/// wavefront each ([`DeviceConfig::wavefront_size`] work items; the
+/// lane-batched path of [`run_group`]). Waves cover the group's flat item
+/// ids in row-major chunks — the last wave is a shorter *tail* when the
+/// group size is not a multiple of the wavefront size — and after each
+/// wave the per-lane fault buffers are merged into the group log in lane
+/// order, so the log is identical to the one the item loop records.
 #[allow(clippy::too_many_arguments)]
 fn run_phase_waves<K: Kernel + ?Sized>(
     kernel: &K,
     phase: usize,
-    lanes: usize,
     cfg: &DeviceConfig,
     plan: &LaunchPlan,
     bufs: &BufTable,
@@ -396,6 +392,7 @@ fn run_phase_waves<K: Kernel + ?Sized>(
     scratch: &mut WorkerScratch,
     faults: &mut FaultLog,
 ) {
+    let lanes = cfg.wavefront_size;
     let mut slots: Vec<LaneSlot> = Vec::with_capacity(lanes);
     for (wave_idx, chunk) in plan.local_coords.chunks(lanes).enumerate() {
         let base = wave_idx * lanes;
@@ -663,30 +660,6 @@ pub fn resolve_parallelism(requested: usize) -> usize {
     }
 }
 
-/// The lane count [`resolve_lanes`] picks when nothing overrides it: wide
-/// enough to amortize instruction dispatch across a wave, narrow enough
-/// that divergence scans stay cheap on small test groups.
-pub const DEFAULT_LANES: usize = 8;
-
-/// Resolves an [`ExecMode::Vectorized`] lane-count knob to a concrete
-/// wavefront batch width (`0` = auto).
-///
-/// The `KP_SIM_LANES` environment variable, when set to a positive
-/// integer, overrides the *auto* resolution (`lanes == 0`) only — the
-/// exact policy [`resolve_parallelism`] applies to `KP_SIM_PARALLELISM`.
-/// Explicit lane counts are never overridden. Without an override, auto
-/// resolves to [`DEFAULT_LANES`].
-pub fn resolve_lanes(requested: usize) -> usize {
-    if requested == 0 {
-        static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let forced =
-            OVERRIDE.get_or_init(|| parse_env_override(std::env::var("KP_SIM_LANES").ok()));
-        forced.unwrap_or(DEFAULT_LANES)
-    } else {
-        requested
-    }
-}
-
 /// Resolves a [`crate::DeviceConfig::devices`] group-size knob to a
 /// concrete member-device count (`0` = auto).
 ///
@@ -708,8 +681,8 @@ pub fn resolve_devices(requested: usize) -> usize {
     }
 }
 
-/// Shared parse policy behind the `KP_SIM_PARALLELISM`, `KP_SIM_LANES`
-/// and `KP_SIM_DEVICES` environment overrides: a positive integer wins,
+/// Shared parse policy behind the `KP_SIM_PARALLELISM` and
+/// `KP_SIM_DEVICES` environment overrides: a positive integer wins,
 /// anything else (unset, non-numeric, zero) is ignored. Split out of the
 /// `OnceLock` wrappers so precedence is unit-testable without mutating
 /// the process environment.
@@ -720,6 +693,8 @@ fn parse_env_override(raw: Option<String>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn write_log_overlay_reads_back_latest() {
@@ -785,14 +760,8 @@ mod tests {
         assert_eq!(resolve_parallelism(5), 5);
     }
 
-    #[test]
-    fn resolve_lanes_zero_is_auto() {
-        assert!(resolve_lanes(0) >= 1);
-        assert_eq!(resolve_lanes(4), 4);
-    }
-
     /// Pins the precedence contract of the `KP_SIM_PARALLELISM` /
-    /// `KP_SIM_LANES` overrides: an explicit `DeviceConfig` knob is never
+    /// `KP_SIM_DEVICES` overrides: an explicit `DeviceConfig` knob is never
     /// overridden (the `requested != 0` arm never consults the
     /// environment), and the override itself only accepts positive
     /// integers. The parse policy is tested directly because the resolver
@@ -807,8 +776,81 @@ mod tests {
         assert_eq!(parse_env_override(None), None);
         // Explicit knobs win regardless of what the environment says.
         assert_eq!(resolve_parallelism(3), 3);
-        assert_eq!(resolve_lanes(7), 7);
         assert_eq!(resolve_devices(5), 5);
+    }
+
+    /// Records which entry point the engine drove, and the lane count of
+    /// every wave it was handed.
+    #[derive(Default)]
+    struct Probe {
+        batched: bool,
+        items: AtomicUsize,
+        waves: Mutex<Vec<usize>>,
+    }
+
+    impl Kernel for Probe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn lane_batched(&self) -> bool {
+            self.batched
+        }
+
+        fn run_phase(&self, _phase: usize, _ctx: &mut ItemCtx<'_>) {
+            self.items.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn run_phase_wave(&self, _phase: usize, wave: &mut WaveCtx<'_>) {
+            assert!(self.batched, "a per-item kernel reached run_phase_wave");
+            self.waves.lock().expect("probe lock").push(wave.lanes());
+        }
+    }
+
+    impl Probe {
+        fn seen(&self) -> (usize, Vec<usize>) {
+            let items = self.items.swap(0, Ordering::Relaxed);
+            (
+                items,
+                std::mem::take(&mut *self.waves.lock().expect("probe lock")),
+            )
+        }
+    }
+
+    #[test]
+    fn only_lane_batched_kernels_run_in_waves_of_one_wavefront() {
+        // test_tiny has 4-wide wavefronts: each 10-item group splits into
+        // waves of 4 and 4 lanes plus a 2-lane tail.
+        let range = NdRange::new_1d(20, 10).unwrap();
+        let launch = |kernel: &(dyn Kernel + Sync), mode: ExecMode| {
+            let mut dev = crate::Device::new(DeviceConfig::test_tiny()).unwrap();
+            dev.set_exec_mode(mode);
+            dev.launch(kernel, range).unwrap();
+        };
+        let waves = vec![4, 4, 2, 4, 4, 2];
+
+        let per_item = Probe::default();
+        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
+            launch(&per_item, mode);
+            assert_eq!(per_item.seen(), (20, vec![]), "{mode}");
+        }
+
+        let batched = Arc::new(Probe {
+            batched: true,
+            ..Probe::default()
+        });
+        launch(&*batched, ExecMode::Compiled);
+        assert_eq!(batched.seen(), (0, waves.clone()));
+        launch(&*batched, ExecMode::Interpreted);
+        assert_eq!(batched.seen(), (20, vec![]));
+
+        // A shared handle must forward the declaration, or an IR kernel
+        // behind an `Arc` would silently fall back to the item loop.
+        let shared: Arc<dyn Kernel + Send + Sync> = batched.clone();
+        assert!(shared.lane_batched());
+        launch(&shared, ExecMode::Compiled);
+        assert_eq!(batched.seen(), (0, waves));
+        assert!(!Arc::new(Probe::default()).lane_batched());
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::ndrange::NdRange;
 ///
 /// Implementations hold their buffer handles as struct fields (there is no
 /// positional argument binding). `run_phase` is called once per work item
-/// per phase, in deterministic row-major order.
+/// per phase, in deterministic row-major order; kernels that declare a
+/// lane-batched path are driven one wavefront at a time instead (see
+/// [`Kernel::lane_batched`]).
 ///
 /// # Examples
 ///
@@ -90,15 +92,29 @@ pub trait Kernel {
     /// Executes one phase for one work item.
     fn run_phase(&self, phase: usize, ctx: &mut ItemCtx<'_>);
 
-    /// Executes one phase for a lockstep wavefront batch of work items
-    /// (see [`crate::ExecMode::Vectorized`]).
+    /// Whether this kernel has a lane-batched path
+    /// ([`Kernel::run_phase_wave`]). Defaults to `false`: the engine then
+    /// runs the kernel item by item through [`Kernel::run_phase`] and
+    /// never pays for per-lane context bookkeeping.
     ///
-    /// The engine calls this instead of [`Kernel::run_phase`] when the
-    /// device executes in vectorized mode. The default implementation runs
-    /// each lane through `run_phase` one at a time — always correct, no
-    /// faster. Kernels with a genuinely lane-batched path (the `kp-ir`
-    /// bytecode VM) override it and dispatch each instruction once for the
-    /// whole wave.
+    /// Kernels that return `true` (the `kp-ir` bytecode VM) are driven
+    /// through `run_phase_wave` under [`crate::ExecMode::Compiled`] and
+    /// through `run_phase` under [`crate::ExecMode::Interpreted`], so
+    /// both methods must implement the same semantics.
+    fn lane_batched(&self) -> bool {
+        false
+    }
+
+    /// Executes one phase for a lockstep wave of work items: one simulated
+    /// wavefront of the group ([`crate::DeviceConfig::wavefront_size`]
+    /// lanes, fewer in a tail wave).
+    ///
+    /// The engine calls this instead of [`Kernel::run_phase`] only for
+    /// kernels that declare [`Kernel::lane_batched`]. The default
+    /// implementation runs each lane through `run_phase` one at a time —
+    /// always correct, no faster. Kernels with a genuinely lane-batched
+    /// path override it and dispatch each instruction once for the whole
+    /// wave.
     fn run_phase_wave(&self, phase: usize, wave: &mut WaveCtx<'_>) {
         for lane in 0..wave.lanes() {
             wave.with_lane(lane, |ctx| self.run_phase(phase, ctx));
@@ -128,6 +144,10 @@ impl<K: Kernel + ?Sized> Kernel for std::sync::Arc<K> {
 
     fn run_phase(&self, phase: usize, ctx: &mut ItemCtx<'_>) {
         (**self).run_phase(phase, ctx);
+    }
+
+    fn lane_batched(&self) -> bool {
+        (**self).lane_batched()
     }
 
     fn run_phase_wave(&self, phase: usize, wave: &mut WaveCtx<'_>) {
@@ -530,21 +550,6 @@ impl<'a> ItemCtx<'a> {
         self.phase
     }
 
-    /// The device's execution strategy for kernels that have both a
-    /// compiled and an interpreted path (see [`crate::ExecMode`]). Kernels
-    /// with a single implementation are free to ignore it.
-    pub fn exec_mode(&self) -> crate::ExecMode {
-        self.cfg.exec_mode
-    }
-
-    /// The device's bytecode optimization level for kernels that carry
-    /// both an optimized and an as-lowered compiled form (see
-    /// [`crate::OptLevel`]). Kernels without an optimizer are free to
-    /// ignore it.
-    pub fn opt_level(&self) -> crate::OptLevel {
-        self.cfg.opt_level
-    }
-
     /// The engine-owned per-worker scratch store (see [`KernelScratch`]).
     ///
     /// The returned storage is private to the worker executing this item
@@ -767,21 +772,22 @@ pub(crate) struct LaneSlot {
     pub item_ops: u64,
     /// Per-lane fault buffer; the engine merges these into the group log
     /// in lane order at the end of each wave's phase, reproducing exactly
-    /// the item order a scalar execution records.
+    /// the item order the item loop records.
     pub faults: FaultLog,
 }
 
-/// Execution context handed to a kernel for one lockstep wavefront batch of
-/// work items in one phase (see [`crate::ExecMode::Vectorized`]).
+/// Execution context handed to a kernel for one lockstep wave of work
+/// items — one simulated wavefront — in one phase (see
+/// [`Kernel::run_phase_wave`]).
 ///
 /// A wave bundles the state shared by its lanes (group coordinates, buffer
 /// table, write log, local arena, profiling accumulators) plus one
 /// `LaneSlot` per lane holding what is private to a work item: local
 /// coordinates, profiling sequence counters, op charges and a fault
-/// buffer. Kernels without a lane-batched path use [`WaveCtx::with_lane`]
-/// to materialize a full per-item [`ItemCtx`] for one lane at a time;
-/// vectorized kernels dispatch each instruction once for the whole wave
-/// and drop down to `with_lane` only for memory traffic and builtins.
+/// buffer. Lane-batched kernels dispatch each instruction once for the
+/// whole wave and drop down to [`WaveCtx::with_lane`], which materializes
+/// a full per-item [`ItemCtx`] for one lane, only for memory traffic and
+/// builtins.
 pub struct WaveCtx<'a> {
     pub(crate) range: &'a NdRange,
     pub(crate) cfg: &'a DeviceConfig,
@@ -812,7 +818,7 @@ impl std::fmt::Debug for WaveCtx<'_> {
 impl<'a> WaveCtx<'a> {
     /// Number of lanes in this wave. The last wave of a group may be a
     /// shorter *tail* wave when the group size is not a multiple of the
-    /// configured lane count.
+    /// device's wavefront size.
     pub fn lanes(&self) -> usize {
         self.slots.len()
     }
@@ -838,11 +844,6 @@ impl<'a> WaveCtx<'a> {
         self.range.group_size_total()
     }
 
-    /// The device's execution strategy (see [`crate::ExecMode`]).
-    pub fn exec_mode(&self) -> crate::ExecMode {
-        self.cfg.exec_mode
-    }
-
     /// The device's bytecode optimization level (see [`crate::OptLevel`]).
     pub fn opt_level(&self) -> crate::OptLevel {
         self.cfg.opt_level
@@ -862,10 +863,10 @@ impl<'a> WaveCtx<'a> {
 
     /// Runs `f` with a full per-item [`ItemCtx`] for one lane, then folds
     /// the context's counters back into the lane's slot. This is how
-    /// non-lockstep work (memory accesses, builtins, whole scalar
-    /// fallbacks) executes inside a wave: the materialized context is
-    /// indistinguishable from the one a scalar execution would have built
-    /// for the same item at the same point.
+    /// non-lockstep work (memory accesses, builtins, the default per-lane
+    /// [`Kernel::run_phase_wave`]) executes inside a wave: the
+    /// materialized context is indistinguishable from the one the item
+    /// loop would have built for the same item at the same point.
     pub fn with_lane<R>(&mut self, lane: usize, f: impl FnOnce(&mut ItemCtx<'_>) -> R) -> R {
         let slot = &mut self.slots[lane];
         let mut ctx = ItemCtx {

@@ -109,22 +109,25 @@
 //! [`GroupStats`]. Events may cross devices in wait-lists — see
 //! [`Queue`]'s "Cross-device waits" docs.
 //!
-//! ## Kernel execution: compile once, execute per item
+//! ## Kernel execution: per item, or one wavefront at a time
 //!
 //! Hand-written Rust kernels are plain `run_phase` implementations and the
-//! engine calls them directly. Language-level kernels (the `kp-ir` crate's
-//! PerfCL interpreter) follow a **compile-optimize-execute** pipeline
+//! engine calls them item by item. Language-level kernels (the `kp-ir`
+//! crate's PerfCL kernels) follow a **compile-optimize-execute** pipeline
 //! instead: at kernel construction the checked AST is lowered once to a
 //! flat register bytecode (resolved variable slots, pre-bound buffer
-//! handles and builtins, jump-target control flow), an optimizer pass
+//! handles and builtins, jump-target control flow) and an optimizer pass
 //! pipeline rewrites it (constant folding, CSE, dead-code/dead-phase
-//! elimination), and `run_phase` then drives a tight-loop VM over that
-//! bytecode — no name lookups or tree walks on the per-item hot path.
+//! elimination). Such a kernel declares a lane-batched path
+//! ([`Kernel::lane_batched`]), and the engine then drives
+//! [`Kernel::run_phase_wave`] with a [`WaveCtx`] of
+//! [`DeviceConfig::wavefront_size`] lanes: one host wave per simulated
+//! wavefront, each bytecode instruction dispatched once for all of them.
 //! Two knobs keep the slower strategies alive as differential
 //! references, exactly like [`Device::launch_serial`] is for the
-//! parallel engine: [`DeviceConfig::exec_mode`] (surfaced through
-//! [`ItemCtx::exec_mode`]) selects the original tree-walking evaluator,
-//! and [`DeviceConfig::opt_level`] ([`ItemCtx::opt_level`]) selects the
+//! parallel engine: [`DeviceConfig::exec_mode`] selects the original
+//! tree-walking evaluator, run item by item, and
+//! [`DeviceConfig::opt_level`] ([`WaveCtx::opt_level`]) selects the
 //! as-lowered, unoptimized bytecode. All strategies must produce
 //! bit-identical outputs, statistics and fault logs, and the cross-crate
 //! `vm_differential` suite asserts it.
@@ -189,7 +192,7 @@ pub use buffer::{BufferId, ElemKind, Scalar};
 pub use completion::{Completion, CompletionQueue};
 pub use config::{DeviceConfig, ExecMode, OptLevel};
 pub use device::Device;
-pub use engine::{resolve_devices, resolve_lanes, resolve_parallelism, DEFAULT_LANES};
+pub use engine::{resolve_devices, resolve_parallelism};
 pub use error::SimError;
 pub use event::{Event, EventTiming};
 pub use group::DeviceGroup;

@@ -3,15 +3,18 @@
 //! The persistent command-queue pool spawns up to
 //! `resolve_parallelism(cfg.parallelism)` threads per device, lazily on
 //! first enqueue, and `Device`'s drop must join every one of them — a
-//! pool shutdown bug shows up here as a thread-count delta. The test
-//! lives in its own integration-test binary so no concurrently running
-//! test can perturb the process thread count.
+//! pool shutdown bug shows up here as a thread-count delta.
 //!
-//! Counting uses `/proc/self/task` (Linux — the platform CI runs on);
-//! elsewhere the test is a no-op.
+//! Counting reads `/proc/self/task/*/comm` (Linux — the platform CI runs
+//! on) and counts only the simulator's own threads, which are named
+//! `kp-sim-*`: the test harness starts and ends its own threads at any
+//! time. The tests also hold one lock each, so no test starts or stops a
+//! pool while another is counting. Elsewhere the counting tests are
+//! no-ops.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use kp_gpu_sim::{
     BufferId, BufferUse, CompletionQueue, Device, DeviceConfig, DeviceGroup, ItemCtx, Kernel,
@@ -55,8 +58,48 @@ impl Drop for OpenOnDrop {
     }
 }
 
+/// Serializes the tests of this binary: each compares simulator-thread
+/// counts across pool lifetimes, so no other test may run pools meanwhile.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counts it guards stay valid.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Number of live simulator threads (pool workers and cross-device
+/// bridges), or `None` where `/proc/self/task` does not exist.
 fn thread_count() -> Option<usize> {
-    Some(std::fs::read_dir("/proc/self/task").ok()?.count())
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("kp-sim-"))
+            .count(),
+    )
+}
+
+/// Polls the simulator-thread count until `done` accepts it, for at most
+/// one second, and returns the last count. A thread spawned a moment ago
+/// may not carry its name yet, and a joined one can linger in `/proc`
+/// while the kernel finishes its exit; a leaked or missing thread stays.
+fn thread_count_when(done: impl Fn(usize) -> bool) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let n = thread_count().expect("/proc/self/task was readable before");
+        if done(n) || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// The simulator-thread count a test starts from — zero once the threads
+/// of earlier tests have finished exiting — or `None` where
+/// `/proc/self/task` does not exist.
+fn baseline() -> Option<usize> {
+    thread_count()?;
+    Some(thread_count_when(|n| n == 0))
 }
 
 struct Scale {
@@ -105,7 +148,8 @@ fn busy_device(parallelism: usize, wait_before_drop: bool) {
 
 #[test]
 fn device_drop_joins_every_pool_worker() {
-    let Some(baseline) = thread_count() else {
+    let _serial = serial();
+    let Some(baseline) = baseline() else {
         eprintln!("skipping: /proc/self/task not available on this platform");
         return;
     };
@@ -118,7 +162,7 @@ fn device_drop_joins_every_pool_worker() {
             busy_device(parallelism, round % 2 == 0);
         }
     }
-    let after_churn = thread_count().unwrap();
+    let after_churn = thread_count_when(|n| n == baseline);
     assert_eq!(
         after_churn, baseline,
         "worker threads leaked after sequential device churn"
@@ -145,14 +189,14 @@ fn device_drop_joins_every_pool_worker() {
             .unwrap();
         live.push((dev, q, ev));
     }
-    let with_pools = thread_count().unwrap();
+    let with_pools = thread_count_when(|n| n >= baseline + 6);
     assert!(
         with_pools >= baseline + 6,
         "expected at least one pool worker per live device \
          (baseline {baseline}, with 6 live devices {with_pools})"
     );
     drop(live);
-    let after_drop = thread_count().unwrap();
+    let after_drop = thread_count_when(|n| n == baseline);
     assert_eq!(
         after_drop, baseline,
         "worker threads leaked after dropping devices with live queues"
@@ -166,7 +210,8 @@ fn device_drop_joins_every_pool_worker() {
 /// [`SimError::DeviceLost`], never hang or panic.
 #[test]
 fn device_group_drop_joins_member_pools_and_bridges() {
-    let Some(baseline) = thread_count() else {
+    let _serial = serial();
+    let Some(baseline) = baseline() else {
         eprintln!("skipping: /proc/self/task not available on this platform");
         return;
     };
@@ -201,7 +246,7 @@ fn device_group_drop_joins_member_pools_and_bridges() {
         }
     }
     assert_eq!(
-        thread_count().unwrap(),
+        thread_count_when(|n| n == baseline),
         baseline,
         "threads leaked after DeviceGroup churn"
     );
@@ -214,7 +259,8 @@ fn device_group_drop_joins_member_pools_and_bridges() {
 /// [`SimError::DeviceLost`]), never zero and never two.
 #[test]
 fn serve_loop_churn_with_callbacks_leaves_no_threads() {
-    let Some(baseline) = thread_count() else {
+    let _serial = serial();
+    let Some(baseline) = baseline() else {
         eprintln!("skipping: /proc/self/task not available on this platform");
         return;
     };
@@ -265,7 +311,7 @@ fn serve_loop_churn_with_callbacks_leaves_no_threads() {
         }
     }
     assert_eq!(
-        thread_count().unwrap(),
+        thread_count_when(|n| n == baseline),
         baseline,
         "threads leaked after serve-loop churn with callbacks"
     );
@@ -275,6 +321,7 @@ fn serve_loop_churn_with_callbacks_leaves_no_threads() {
 /// synchronously on the registering thread, with [`SimError::DeviceLost`].
 #[test]
 fn callback_registered_after_device_drop_fires_once_with_device_lost() {
+    let _serial = serial();
     let mut cfg = DeviceConfig::test_tiny();
     cfg.parallelism = 1;
     let mut dev = Device::new(cfg).unwrap();
@@ -308,7 +355,8 @@ fn callback_registered_after_device_drop_fires_once_with_device_lost() {
 /// still complete, and the callback still counts as fired exactly once.
 #[test]
 fn panicking_callback_does_not_kill_the_worker_pool() {
-    let Some(baseline) = thread_count() else {
+    let _serial = serial();
+    let Some(baseline) = baseline() else {
         eprintln!("skipping: /proc/self/task not available on this platform");
         return;
     };
@@ -359,7 +407,7 @@ fn panicking_callback_does_not_kill_the_worker_pool() {
         assert_eq!(dev.read_buffer::<f32>(dst).unwrap(), vec![2.0; BUF_LEN]);
     }
     assert_eq!(
-        thread_count().unwrap(),
+        thread_count_when(|n| n == baseline),
         baseline,
         "panicking callback killed or leaked pool threads"
     );

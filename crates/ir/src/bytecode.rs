@@ -1,4 +1,4 @@
-//! Register bytecode for PerfCL kernels: the instruction set and the VM.
+//! Register bytecode for PerfCL kernels: the instruction set.
 //!
 //! The tree-walking evaluator in `crate::interp` re-resolves every
 //! variable name, buffer binding and builtin on every statement of every
@@ -7,9 +7,8 @@
 //! `crate::compile` lowers a checked kernel to **once** at
 //! [`crate::IrKernel`] construction:
 //!
-//! * variables live in a per-item **register file** (`Vec<Value>`) with
-//!   slots resolved at compile time — no `HashMap<String, _>` on the hot
-//!   path;
+//! * variables live in a per-item **register file** with slots resolved
+//!   at compile time — no `HashMap<String, _>` on the hot path;
 //! * buffer and local-array names are pre-bound to their simulator handles
 //!   ([`BufferId`] / [`LocalId`]) inside the instructions;
 //! * builtins are pre-resolved to [`Builtin`] values with their ALU cost
@@ -23,20 +22,19 @@
 //! register file persists across phases exactly like the interpreter's
 //! variable map (OpenCL private memory).
 //!
-//! Every operation funnels through the same primitives as the tree walk
-//! (`apply_bin`, `apply_builtin`, the load/store converters in
-//! `crate::interp`), so the two execution modes produce bit-identical
-//! outputs, statistics and fault logs by construction — asserted app by
-//! app in the cross-crate `vm_differential` suite.
+//! The VM that executes this bytecode is lane-batched (`crate::vector`):
+//! it runs one simulated wavefront of work items through each
+//! instruction in lockstep. Every operation funnels through the same
+//! primitives as the tree walk (`apply_bin`, `apply_builtin`, the
+//! load/store converters in `crate::interp`), so the two execution modes
+//! produce bit-identical outputs, statistics and fault logs by
+//! construction — asserted app by app in the cross-crate
+//! `vm_differential` suite.
 
-use kp_gpu_sim::{BufferId, ItemCtx, LocalId};
+use kp_gpu_sim::{BufferId, LocalId};
 
 use crate::ast::{BinOp, ScalarTy, UnOp};
 use crate::builtins::Builtin;
-use crate::interp::{
-    apply_bin, apply_builtin, apply_un, coerce, load_global, load_local, store_global, store_local,
-    Flow,
-};
 use crate::Value;
 
 /// A register index into the per-item register file.
@@ -364,182 +362,4 @@ impl CompiledKernel {
     pub fn first_temp(&self) -> usize {
         self.first_temp
     }
-}
-
-/// Executes one phase of a compiled kernel for one work item.
-///
-/// `regs` is the item's register file, persisting across phases. Errors
-/// carry the bare message (no kernel-name prefix); the caller wraps them
-/// into [`crate::IrError::Eval`] identically to the tree-walk path.
-///
-/// # Errors
-///
-/// Integer division/remainder by zero and exceeded loop guards, with the
-/// same messages as the tree-walking evaluator.
-pub(crate) fn execute_phase(
-    compiled: &CompiledKernel,
-    phase: usize,
-    regs: &mut [Value],
-    ctx: &mut ItemCtx<'_>,
-) -> Result<Flow, String> {
-    let code = &compiled.phases[phase];
-    let mut pc = 0usize;
-    while let Some(inst) = code.get(pc) {
-        match *inst {
-            Inst::Const { dst, value } => regs[dst as usize] = value,
-            Inst::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
-            Inst::Promote { dst, src } => {
-                regs[dst as usize] = coerce(regs[src as usize], ScalarTy::Float);
-            }
-            Inst::Assign { dst, src } => {
-                let target_ty = match regs[dst as usize] {
-                    Value::Int(_) => ScalarTy::Int,
-                    Value::Float(_) => ScalarTy::Float,
-                    Value::Bool(_) => ScalarTy::Bool,
-                };
-                regs[dst as usize] = coerce(regs[src as usize], target_ty);
-            }
-            Inst::AsBool { dst, src } => {
-                regs[dst as usize] = Value::Bool(regs[src as usize].as_bool());
-            }
-            Inst::Un { op, dst, src } => {
-                regs[dst as usize] = apply_un(op, regs[src as usize]).map_err(str::to_owned)?;
-            }
-            Inst::Bin { op, dst, lhs, rhs } => {
-                regs[dst as usize] =
-                    apply_bin(op, regs[lhs as usize], regs[rhs as usize]).map_err(str::to_owned)?;
-            }
-            Inst::Bin2 {
-                op1,
-                op2,
-                dst,
-                lhs,
-                rhs,
-                other,
-                m_left,
-            } => {
-                let m = apply_bin(op1, regs[lhs as usize], regs[rhs as usize])
-                    .map_err(str::to_owned)?;
-                let o = regs[other as usize];
-                let (a, b) = if m_left { (m, o) } else { (o, m) };
-                regs[dst as usize] = apply_bin(op2, a, b).map_err(str::to_owned)?;
-            }
-            Inst::Ops { n } => ctx.ops(n),
-            Inst::LoadGlobal {
-                dst,
-                buf,
-                elem,
-                idx,
-            } => {
-                regs[dst as usize] = load_global(ctx, buf, elem, regs[idx as usize].as_i64());
-            }
-            Inst::StoreGlobal {
-                buf,
-                elem,
-                idx,
-                src,
-            } => {
-                store_global(
-                    ctx,
-                    buf,
-                    elem,
-                    regs[idx as usize].as_i64(),
-                    regs[src as usize],
-                );
-            }
-            Inst::LoadGlobalBin {
-                op,
-                dst,
-                buf,
-                elem,
-                idx,
-                other,
-                m_left,
-            } => {
-                let m = load_global(ctx, buf, elem, regs[idx as usize].as_i64());
-                let o = regs[other as usize];
-                let (a, b) = if m_left { (m, o) } else { (o, m) };
-                regs[dst as usize] = apply_bin(op, a, b).map_err(str::to_owned)?;
-            }
-            Inst::LoadLocal {
-                dst,
-                arr,
-                elem,
-                idx,
-            } => {
-                regs[dst as usize] = load_local(ctx, arr, elem, regs[idx as usize].as_i64());
-            }
-            Inst::LoadLocalBin {
-                op,
-                dst,
-                arr,
-                elem,
-                idx,
-                other,
-                m_left,
-            } => {
-                let m = load_local(ctx, arr, elem, regs[idx as usize].as_i64());
-                let o = regs[other as usize];
-                let (a, b) = if m_left { (m, o) } else { (o, m) };
-                regs[dst as usize] = apply_bin(op, a, b).map_err(str::to_owned)?;
-            }
-            Inst::StoreLocal {
-                arr,
-                elem,
-                idx,
-                src,
-            } => {
-                store_local(
-                    ctx,
-                    arr,
-                    elem,
-                    regs[idx as usize].as_i64(),
-                    regs[src as usize],
-                );
-            }
-            Inst::Call {
-                builtin,
-                dst,
-                args,
-                argc,
-            } => {
-                let mut vals = [Value::Int(0); 3];
-                for (slot, &arg) in vals.iter_mut().zip(&args).take(argc as usize) {
-                    *slot = regs[arg as usize];
-                }
-                regs[dst as usize] = apply_builtin(ctx, builtin, &vals[..argc as usize]);
-            }
-            Inst::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Inst::JumpIfFalse { cond, target } => {
-                if !regs[cond as usize].as_bool() {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Inst::JumpIfTrue { cond, target } => {
-                if regs[cond as usize].as_bool() {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Inst::GuardReset { guard } => regs[guard as usize] = Value::Int(0),
-            Inst::GuardBump { guard, is_for } => {
-                let n = regs[guard as usize].as_i64() + 1;
-                regs[guard as usize] = Value::Int(n);
-                if n > LOOP_GUARD_LIMIT {
-                    return Err(if is_for {
-                        "for loop exceeded iteration guard".to_owned()
-                    } else {
-                        "while loop exceeded iteration guard".to_owned()
-                    });
-                }
-            }
-            Inst::Return => return Ok(Flow::Returned),
-        }
-        pc += 1;
-    }
-    Ok(Flow::Normal)
 }

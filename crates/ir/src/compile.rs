@@ -468,12 +468,14 @@ mod tests {
     use crate::{ArgValue, IrKernel};
     use kp_gpu_sim::{Device, DeviceConfig, ExecMode, NdRange};
 
-    /// Runs a one-buffer kernel in both execution modes and returns
-    /// (compiled, interpreted) outputs.
+    /// Runs a one-buffer kernel on the bytecode VM and on the tree walk
+    /// and returns (compiled, interpreted) outputs. The VM runs in waves
+    /// of 3 lanes, so groups of 4 items end in a 1-lane tail wave.
     fn run_both(src: &str, n: usize) -> (Vec<f32>, Vec<f32>) {
         let run = |mode: ExecMode| {
             let mut cfg = DeviceConfig::test_tiny();
             cfg.exec_mode = mode;
+            cfg.wavefront_size = 3;
             let mut dev = Device::new(cfg).unwrap();
             let dst = dev.create_buffer::<f32>("dst", n).unwrap();
             let kernel = IrKernel::from_source(src, &[("dst", ArgValue::Buffer(dst))]).unwrap();

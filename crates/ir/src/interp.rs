@@ -9,9 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use kp_gpu_sim::{
-    BufferId, ElemKind, ExecMode, ItemCtx, Kernel, LocalId, LocalSpec, OptLevel, WaveCtx,
-};
+use kp_gpu_sim::{BufferId, ElemKind, ItemCtx, Kernel, LocalId, LocalSpec, OptLevel, WaveCtx};
 
 use crate::ast::{BinOp, Expr, KernelDef, ParamTy, ScalarTy, Stmt, UnOp};
 use crate::builtins::Builtin;
@@ -83,32 +81,29 @@ pub(crate) enum Binding {
     Local { id: LocalId, elem: ScalarTy },
 }
 
-/// Per-item execution state carried across phases. Exactly one of the two
-/// storage forms is populated per launch, depending on the device's
-/// [`ExecMode`]: the tree-walking evaluator keeps named variables in
-/// `vars`, the bytecode VM keeps a flat register file in `regs` (slots
-/// resolved at compile time).
+/// Per-item state of the tree-walking evaluator, carried across phases:
+/// named variables plus the retired flag.
 #[derive(Debug, Default, Clone)]
 struct ItemState {
     vars: HashMap<String, Value>,
-    regs: Vec<Value>,
     returned: bool,
 }
 
-/// The engine-scratch payload of one worker: per-item states of the work
-/// group that worker is currently executing. Lives in the launch engine's
-/// [`kp_gpu_sim::KernelScratch`] (one per worker thread), so no locking
-/// is ever needed — the engine guarantees a worker runs all items of all
-/// phases of a group before its next group, and workers never share
-/// scratch. Entries are re-initialized at `(phase 0, item)` time, which
-/// also makes the storage safely reusable across groups, launches and
-/// even different `IrKernel` instances.
+/// The tree-walking evaluator's engine-scratch payload of one worker:
+/// per-item states of the work group that worker is currently executing
+/// (the bytecode VM keeps its own, `crate::vector::VectorStates`). Lives
+/// in the launch engine's [`kp_gpu_sim::KernelScratch`] (one per worker
+/// thread), so no locking is ever needed — the engine guarantees a worker
+/// runs all items of all phases of a group before its next group, and
+/// workers never share scratch. Entries are re-initialized at
+/// `(phase 0, item)` time, which also makes the storage safely reusable
+/// across groups, launches and even different `IrKernel` instances.
 #[derive(Debug, Default)]
 struct GroupStates {
     items: Vec<ItemState>,
 }
 
-pub(crate) enum Flow {
+enum Flow {
     Normal,
     Returned,
 }
@@ -118,8 +113,8 @@ pub(crate) enum Flow {
 /// # Concurrency
 ///
 /// `IrKernel` is [`Sync`] and internally immutable during execution: all
-/// per-item interpreter state (register files, variable maps) lives in
-/// the launch engine's per-worker scratch
+/// per-item state (the VM's register slabs, the interpreter's variable
+/// maps) lives in the launch engine's per-worker scratch
 /// ([`kp_gpu_sim::KernelScratch`]), not in the kernel, so work groups
 /// shard across worker threads without any locking and one instance can
 /// even be launched from several devices concurrently. The only shared
@@ -134,10 +129,13 @@ pub(crate) enum Flow {
 /// (`crate::compile`) and that bytecode is run through the optimizer
 /// pass pipeline ([`crate::optimize`]). Which of the three forms executes
 /// is selected per launch by the device:
-/// [`kp_gpu_sim::ExecMode::Interpreted`] walks the AST (slow reference),
-/// [`kp_gpu_sim::OptLevel::None`] runs the as-lowered bytecode, and
-/// [`kp_gpu_sim::OptLevel::Full`] (the default) runs the optimized
-/// bytecode. All three are bit-identical by contract.
+/// [`kp_gpu_sim::ExecMode::Interpreted`] walks the AST item by item
+/// (`run_phase`, the slow reference), while the default
+/// [`kp_gpu_sim::ExecMode::Compiled`] runs the bytecode on the
+/// lane-batched VM one wavefront at a time (`run_phase_wave`) — the
+/// as-lowered form at [`kp_gpu_sim::OptLevel::None`], the optimized form
+/// at [`kp_gpu_sim::OptLevel::Full`] (the default). All three are
+/// bit-identical by contract.
 ///
 /// # Examples
 ///
@@ -172,7 +170,7 @@ pub struct IrKernel {
     /// kept as the [`OptLevel::None`] differential reference.
     compiled: crate::bytecode::CompiledKernel,
     /// `compiled` after the optimizer pass pipeline (see
-    /// [`crate::optimize`]); what `run_phase` executes at the default
+    /// [`crate::optimize`]); what `run_phase_wave` executes at the default
     /// [`OptLevel::Full`].
     optimized: crate::bytecode::CompiledKernel,
     /// What the optimizer did, for reporting and tests.
@@ -403,20 +401,9 @@ impl Kernel for IrKernel {
         self.local_specs.clone()
     }
 
+    /// The tree-walking evaluator: the differential reference the engine
+    /// drives item by item under [`kp_gpu_sim::ExecMode::Interpreted`].
     fn run_phase(&self, phase: usize, ctx: &mut ItemCtx<'_>) {
-        let mode = ctx.exec_mode();
-        let bytecode = match ctx.opt_level() {
-            OptLevel::Full => &self.optimized,
-            OptLevel::None => &self.compiled,
-        };
-        // Dead-phase elimination: a phase the optimizer emptied provably
-        // cannot touch memory, charge ops, fault, error or change item
-        // state, so skip it without even touching the scratch. Phase 0 is
-        // exempt — it must still reset the per-item state below.
-        if phase != 0 && !matches!(mode, ExecMode::Interpreted) && bytecode.phase(phase).is_empty()
-        {
-            return;
-        }
         let flat = ctx.flat_local_id();
         let group_size = ctx.group_size();
         let group = [ctx.group_id(0), ctx.group_id(1), ctx.group_id(2)];
@@ -433,34 +420,11 @@ impl Kernel for IrKernel {
             // (or launch's, or kernel's) state. Buffers are reused.
             state.returned = false;
             state.vars.clear();
-            match mode {
-                ExecMode::Interpreted => {}
-                _ if state.regs.len() == bytecode.reg_count() => {
-                    state.regs.copy_from_slice(&bytecode.reg_init);
-                }
-                _ => state.regs = bytecode.fresh_regs(),
-            }
         }
         if !state.returned {
-            let result = match mode {
-                // A `Vectorized` device normally drives `run_phase_wave`,
-                // but per-item dispatch (e.g. a custom engine) degrades to
-                // the scalar VM — same bytecode, same results.
-                ExecMode::Compiled | ExecMode::Vectorized { .. } => {
-                    if state.regs.len() != bytecode.reg_count() {
-                        state.regs = bytecode.fresh_regs();
-                    }
-                    crate::bytecode::execute_phase(bytecode, phase, &mut state.regs, ctx)
-                        .map_err(|msg| IrError::Eval(format!("{}: {msg}", self.def.name)))
-                }
-                ExecMode::Interpreted => {
-                    let phases = self.def.phases();
-                    let stmts = phases[phase];
-                    let mut exec = Exec { kernel: self, ctx };
-                    exec.stmts(stmts, &mut state)
-                }
-            };
-            match result {
+            let phases = self.def.phases();
+            let mut exec = Exec { kernel: self, ctx };
+            match exec.stmts(phases[phase], &mut state) {
                 Ok(Flow::Returned) => state.returned = true,
                 Ok(Flow::Normal) => {}
                 Err(e) => {
@@ -472,21 +436,21 @@ impl Kernel for IrKernel {
         ctx.kernel_scratch().get_or_default::<GroupStates>().items[flat] = state;
     }
 
+    fn lane_batched(&self) -> bool {
+        true
+    }
+
+    /// The bytecode VM, one wavefront at a time: what the engine drives
+    /// under the default [`kp_gpu_sim::ExecMode::Compiled`].
     fn run_phase_wave(&self, phase: usize, wave: &mut WaveCtx<'_>) {
-        // The engine only batches lanes under `ExecMode::Vectorized`; any
-        // other caller degrades to per-lane scalar dispatch (the trait
-        // default), which is bit-identical by the differential contract.
-        if !matches!(wave.exec_mode(), ExecMode::Vectorized { .. }) {
-            for lane in 0..wave.lanes() {
-                wave.with_lane(lane, |ctx| self.run_phase(phase, ctx));
-            }
-            return;
-        }
         let bytecode = match wave.opt_level() {
             OptLevel::Full => &self.optimized,
             OptLevel::None => &self.compiled,
         };
-        // Dead-phase elimination, as in `run_phase`.
+        // Dead-phase elimination: a phase the optimizer emptied provably
+        // cannot touch memory, charge ops, fault, error or change lane
+        // state, so skip it without even touching the scratch. Phase 0 is
+        // exempt — it must still reset the lanes below.
         if phase != 0 && bytecode.phase(phase).is_empty() {
             return;
         }
@@ -504,7 +468,7 @@ impl Kernel for IrKernel {
             .kernel_scratch()
             .get_or_default::<crate::vector::VectorStates>() = states;
         // Lane order is item order: recording in this order makes the kept
-        // (first) error of the group match scalar execution exactly.
+        // (first) error of the group match the item loop exactly.
         for (_lane, msg) in errors {
             self.record_error(group, IrError::Eval(format!("{}: {msg}", self.def.name)));
         }
@@ -515,7 +479,7 @@ impl Kernel for IrKernel {
 // Shared evaluation primitives.
 //
 // The tree-walking evaluator below and the bytecode VM in
-// [`crate::bytecode`] both funnel every arithmetic operation, builtin and
+// [`crate::vector`] both funnel every arithmetic operation, builtin and
 // memory access through these functions, so the two execution modes are
 // bit-identical by construction — there is exactly one implementation of
 // each semantic rule.

@@ -14,7 +14,9 @@
 //!   identical performance counters. Kernels compile once to a register
 //!   [`bytecode`] at construction and run through the [`optimize`] pass
 //!   pipeline (constant folding, CSE, dead-code/dead-phase elimination);
-//!   the tree walk and the unoptimized bytecode are retained as
+//!   a lane-batched VM then executes the bytecode one simulated wavefront
+//!   at a time, each instruction dispatched once for all lanes. The tree
+//!   walk (run item by item) and the unoptimized bytecode are retained as
 //!   differential references selected by [`kp_gpu_sim::ExecMode`] and
 //!   [`kp_gpu_sim::OptLevel`];
 //! * a **stencil analysis** ([`analysis`]) that recognizes the canonical

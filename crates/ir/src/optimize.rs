@@ -66,7 +66,7 @@
 //! 7. **Dead-phase elimination** — a phase whose instruction sequence
 //!    became empty (a trailing `barrier();`, a `return;`-only epilogue)
 //!    provably cannot touch memory, charge ALU ops, fault, or change
-//!    per-item state, and the interpreter skips it wholesale at run time.
+//!    per-item state, and the VM skips it wholesale at run time.
 //!    The *number* of phases is preserved — per-phase barrier costs in
 //!    the launch report must not change.
 //! 8. **Loop-invariant code motion** — pure, total instruction chains

@@ -1,11 +1,12 @@
-//! The lane-batched (vectorized) bytecode VM: work items in lockstep.
+//! The bytecode VM: work items of one wavefront in lockstep.
 //!
-//! The scalar VM in [`crate::bytecode`] dispatches one instruction per
-//! work item per step, so the `match` over [`Inst`] — not the arithmetic —
-//! dominates every launch. This module is the third execution tier: it
-//! runs a *wave* of `W` work items of one group through each instruction
-//! in lockstep, the CPU analogue of GPU wavefront execution. One opcode
-//! dispatch then covers up to `W` lanes.
+//! Dispatching one [`crate::bytecode`] instruction per work item per step
+//! would make the `match` over [`Inst`] — not the arithmetic — dominate
+//! every launch. This VM instead runs a *wave* of `W` work items of one
+//! group through each instruction in lockstep, the CPU analogue of GPU
+//! wavefront execution: the engine hands it one simulated wavefront at a
+//! time (`W` = the device's `wavefront_size`, fewer in a group's tail
+//! wave), so one opcode dispatch covers up to `W` lanes.
 //!
 //! ## Structure-of-arrays register file
 //!
@@ -27,27 +28,28 @@
 //! lanes at a smaller pc catch up and waves reconverge at join points
 //! without any explicit mask stack. Each lane's *instruction trace* —
 //! and therefore its op charges, its memory access sequence, its faults
-//! and its errors — is exactly the trace the scalar VM produces for the
-//! same item.
+//! and its errors — is exactly the trace the item would produce running
+//! the same bytecode alone.
 //!
 //! ## Deactivation masks and bit-identity
 //!
 //! The active-lane list is the divergence mask: a lane leaves it when it
 //! falls off the end of the phase, executes `Return`, or aborts with a
 //! runtime error — without desyncing the remaining lanes. Per-lane
-//! effects stay bit-identical to the scalar VM because every operation
-//! funnels through the same primitives (`apply_bin`, `apply_builtin`,
-//! `load_global`, …), op charges accumulate per lane
-//! ([`WaveCtx::lane_ops`]), faults collect into per-lane buffers that the
-//! engine merges in lane order, and runtime errors are reported back in
-//! lane order (the scalar VM's item order). The one caveat is inherited
-//! from OpenCL itself: two items of a group touching the same memory
-//! location *within one phase* (no barrier between the accesses) is a
-//! data race with no defined order on real hardware; lockstep interleaves
-//! such races differently than the scalar item loop. Race-free kernels —
-//! everything the barrier contract allows — are bit-identical across all
-//! tiers, which the cross-crate `vm_differential` suite asserts at
-//! several lane widths.
+//! effects stay bit-identical to the tree-walking interpreter, which the
+//! engine runs item by item, because every operation funnels through the
+//! same primitives (`apply_bin`, `apply_builtin`, `load_global`, …), op
+//! charges accumulate per lane ([`WaveCtx::lane_ops`]), faults collect
+//! into per-lane buffers that the engine merges in lane order, and
+//! runtime errors are reported back in lane order (the item loop's
+//! order). The one caveat is inherited from OpenCL itself: two items of a
+//! group touching the same memory location *within one phase* (no
+//! barrier between the accesses) is a data race with no defined order on
+//! real hardware; lockstep interleaves such races differently than the
+//! item loop. Race-free kernels — everything the barrier contract allows
+//! — are bit-identical across both execution modes, which the
+//! cross-crate `vm_differential` suite asserts at several wavefront
+//! widths.
 
 use kp_gpu_sim::WaveCtx;
 
@@ -83,11 +85,11 @@ fn dec(bits: u64, tag: u8) -> Value {
     }
 }
 
-/// The vectorized VM's engine-scratch payload: the structure-of-arrays
-/// register slabs of the group the owning worker is currently executing,
-/// plus reusable per-wave scheduling scratch. Lives in the engine's
-/// per-worker [`kp_gpu_sim::KernelScratch`] exactly like the scalar VM's
-/// `GroupStates`, so access is lock-free by construction.
+/// The VM's engine-scratch payload: the structure-of-arrays register
+/// slabs of the group the owning worker is currently executing, plus
+/// reusable per-wave scheduling scratch. Lives in the engine's
+/// per-worker [`kp_gpu_sim::KernelScratch`] exactly like the
+/// interpreter's `GroupStates`, so access is lock-free by construction.
 #[derive(Debug, Default)]
 pub(crate) struct VectorStates {
     /// Raw register bits, laid out `[r * group_size + flat]`.
@@ -128,8 +130,7 @@ impl VectorStates {
     }
 
     /// Re-initializes the register slabs and retired flags of one wave's
-    /// lanes from the kernel's initial register file (the phase-0 reset —
-    /// the vector counterpart of the scalar VM's `fresh_regs` copy).
+    /// lanes from the kernel's initial register file (the phase-0 reset).
     pub(crate) fn reset_lanes(&mut self, compiled: &CompiledKernel, base: usize, lanes: usize) {
         let gs = self.group_size;
         for (r, &init) in compiled.reg_init.iter().enumerate() {
@@ -182,9 +183,9 @@ impl VectorStates {
 ///
 /// Returns the runtime errors raised this phase as `(lane, message)`
 /// pairs in **lane order** — the caller reports them in that order so the
-/// recorded first error matches scalar execution's item order exactly.
-/// Erroring lanes are retired (their remaining phases are skipped), like
-/// the scalar VM marks an erroring item `returned`.
+/// recorded first error matches the item loop's order exactly. Erroring
+/// lanes are retired (their remaining phases are skipped), like the
+/// interpreter marks an erroring item `returned`.
 pub(crate) fn execute_phase_wave(
     compiled: &CompiledKernel,
     phase: usize,
@@ -334,7 +335,7 @@ pub(crate) fn execute_phase_wave(
     states.pcs = pcs;
     states.active = active;
     states.cur = cur;
-    // Lane order == the scalar VM's item order within this wave's phase.
+    // Lane order == the item loop's order within this wave's phase.
     errors.sort_by_key(|&(l, _)| l);
     errors
 }

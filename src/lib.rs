@@ -91,10 +91,12 @@
 //!
 //! PerfCL kernels compile to register bytecode at construction and run
 //! through an optimizer pass pipeline (constant folding, CSE, dead-code
-//! and dead-phase elimination — see `docs/BYTECODE.md`). The device's
-//! [`gpu_sim::ExecMode`] and [`gpu_sim::OptLevel`] knobs select between
-//! the optimized bytecode (default), the as-lowered bytecode, and the
-//! tree-walking evaluator; all three are bit-identical by contract:
+//! and dead-phase elimination — see `docs/BYTECODE.md`). A lane-batched
+//! VM executes the bytecode one simulated wavefront at a time. The
+//! device's [`gpu_sim::ExecMode`] and [`gpu_sim::OptLevel`] knobs select
+//! between the optimized bytecode (default), the as-lowered bytecode,
+//! and the tree-walking evaluator; all three are bit-identical by
+//! contract:
 //!
 //! ```
 //! use kernel_perforation::gpu_sim::{Device, DeviceConfig, NdRange, OptLevel};

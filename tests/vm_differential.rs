@@ -1,21 +1,24 @@
 //! Bytecode-VM differential suite.
 //!
-//! The `kp-ir` interpreter compiles kernels to register bytecode at
-//! construction, runs the optimizer pass pipeline over it, and keeps both
-//! slower strategies as references: the tree-walking evaluator
-//! (`ExecMode::Interpreted`) and the as-lowered bytecode
-//! (`OptLevel::None`), mirroring how `launch_serial` is the reference for
-//! the parallel launch engine. This suite asserts the whole contract at
-//! once, app by app: **outputs (bit for bit), launch reports (statistics
-//! + timing), runtime errors and fault logs must be identical** across
+//! `kp-ir` kernels compile to register bytecode at construction, run the
+//! optimizer pass pipeline over it, and execute on the lane-batched VM
+//! one simulated wavefront at a time. Two slower strategies stay as
+//! references: the tree-walking evaluator (`ExecMode::Interpreted`, run
+//! item by item) and the as-lowered bytecode (`OptLevel::None`),
+//! mirroring how `launch_serial` is the reference for the parallel launch
+//! engine. This suite asserts the whole contract at once, app by app:
+//! **outputs (bit for bit), launch reports (statistics + timing), runtime
+//! errors and fault logs must be identical** across
 //!
-//! * all execution strategies — tree walk, unoptimized VM, optimized VM,
-//!   and the lane-batched vector VM at wavefront widths 1, 4 and 8 — and
+//! * all execution strategies — tree walk, unoptimized VM, optimized VM —
+//!   at wavefront widths 1, 4, 8 and 64, and
 //! * both launch frontends — serial reference and parallel engine at
 //!   worker counts 1, 2, 8 and auto —
 //!
 //! for the five PerfCL evaluation apps (accurate *and* perforated
-//! variants) plus dedicated fault/runtime-error kernels.
+//! variants) plus dedicated fault/runtime-error kernels. Reports depend
+//! on the wavefront width, so each width is compared against the tree
+//! walk at that same width.
 
 use kernel_perforation::apps::perfcl::{self, PerfclApp};
 use kernel_perforation::data::synth;
@@ -47,19 +50,20 @@ const LAUNCHES: [Launch; 5] = [
     Launch::Parallel(0),
 ];
 
-/// The execution strategies every case runs under: tree walk, as-lowered
-/// bytecode, optimized bytecode, and the lane-batched vector VM at three
-/// wavefront widths (1 = degenerate lockstep; 4 divides the 8-wide test
-/// groups evenly; 8 covers full-width waves). Group sizes that are not
-/// lane multiples exercise the tail wave via the perforated 40×24 cases.
-const STRATEGIES: [(ExecMode, OptLevel); 6] = [
+/// The execution strategies every case runs under: the tree-walk
+/// reference, then the VM on the as-lowered and on the optimized bytecode.
+const STRATEGIES: [(ExecMode, OptLevel); 3] = [
     (ExecMode::Interpreted, OptLevel::Full), // opt level ignored
     (ExecMode::Compiled, OptLevel::None),
     (ExecMode::Compiled, OptLevel::Full),
-    (ExecMode::Vectorized { lanes: 1 }, OptLevel::Full),
-    (ExecMode::Vectorized { lanes: 4 }, OptLevel::None),
-    (ExecMode::Vectorized { lanes: 8 }, OptLevel::Full),
 ];
+
+/// The device wavefront widths every case runs at; one VM wave is one
+/// wavefront. 1 degenerates to one-lane waves, 4 and 8 split the 8×8
+/// groups into several full waves, and 64 (the FirePro preset) holds a
+/// whole 8×8 group in one wave. The 6×3 groups (18 items) end in a
+/// shorter tail wave at every width but 1.
+const WAVEFRONTS: [usize; 4] = [1, 4, 8, 64];
 
 /// Everything observable from one launch, in comparable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,10 +88,12 @@ fn run_case(
     aux: &[f32],
     (w, h): (usize, usize),
     group: (usize, usize),
+    wavefront: usize,
     (mode, opt): (ExecMode, OptLevel),
     launch: Launch,
 ) -> Outcome {
     let mut cfg = DeviceConfig::firepro_w5100();
+    cfg.wavefront_size = wavefront;
     cfg.exec_mode = mode;
     cfg.opt_level = opt;
     if let Launch::Parallel(threads) = launch {
@@ -138,8 +144,9 @@ fn run_case(
     }
 }
 
-/// Runs the full mode × launch matrix for one kernel definition and
-/// asserts every outcome equals the compiled-serial reference.
+/// Runs the full width × strategy × launch matrix for one kernel
+/// definition and asserts every outcome equals the interpreted-serial
+/// reference at the same wavefront width.
 fn assert_matrix_identical(
     label: &str,
     def: &KernelDef,
@@ -149,24 +156,33 @@ fn assert_matrix_identical(
 ) {
     let data = synth::photo_like(w, h, 0x5EED).as_slice().to_vec();
     let aux = synth::photo_like(w, h, 0xA0C).as_slice().to_vec();
-    let reference = run_case(
-        def,
-        app,
-        &data,
-        &aux,
-        (w, h),
-        group,
-        (ExecMode::Compiled, OptLevel::Full),
-        Launch::Serial,
-    );
-    for strategy in STRATEGIES {
-        for launch in LAUNCHES {
-            let outcome = run_case(def, app, &data, &aux, (w, h), group, strategy, launch);
-            assert_eq!(
-                outcome, reference,
-                "{label}: {:?} / {launch:?} diverges from optimized-compiled serial",
-                strategy
-            );
+    let case = |wavefront, strategy, launch| {
+        run_case(
+            def,
+            app,
+            &data,
+            &aux,
+            (w, h),
+            group,
+            wavefront,
+            strategy,
+            launch,
+        )
+    };
+    for wavefront in WAVEFRONTS {
+        let reference = case(wavefront, STRATEGIES[0], Launch::Serial);
+        for strategy in STRATEGIES {
+            for launch in LAUNCHES {
+                if (strategy, launch) == (STRATEGIES[0], Launch::Serial) {
+                    continue;
+                }
+                assert_eq!(
+                    case(wavefront, strategy, launch),
+                    reference,
+                    "{label}: {strategy:?} / {launch:?} at wavefront {wavefront} diverges \
+                     from interpreted serial"
+                );
+            }
         }
     }
 }
@@ -228,9 +244,10 @@ fn linear_interpolation_variant_is_identical_too() {
 
 #[test]
 fn tail_wavefronts_with_column_divergence_are_identical() {
-    // Group (6, 3) = 18 work-items: not a multiple of either vector
-    // width, so every group runs two full 8-wide waves plus a 2-lane
-    // tail (and four full 4-wide waves plus a 2-lane tail). ColsHalf
+    // Group (6, 3) = 18 work-items: not a multiple of any wavefront
+    // width above 1, so every group runs two full 8-wide waves plus a
+    // 2-lane tail (four full 4-wide waves plus a 2-lane tail, or one
+    // 18-lane wave at width 64). ColsHalf
     // perforation branches on the *x* coordinate — adjacent lanes of one
     // wave take opposite sides of the sparse-load branch, the closest
     // thing the pass offers to per-lane random divergence.
@@ -273,7 +290,7 @@ fn stencil_scheme_divergence_is_identical_across_lanes() {
 #[test]
 fn shadow_leaked_lane_registers_are_identical() {
     // Every third lane dynamically retypes `v` (float → int) through a
-    // shadow leak: the vector VM's per-lane tag bytes must track each
+    // shadow leak: the VM's per-lane tag bytes must track each
     // lane independently, in full and tail wavefronts alike. 22×14 pads
     // up to 24×15, so the border guard retires some lanes early too.
     let app = PerfclApp {
@@ -301,7 +318,7 @@ fn mid_phase_per_lane_faults_are_identical() {
     // Faults raised *after* a barrier (phase 1) on a lane-dependent
     // predicate: every lane with x ≡ 1 (mod 4) reads its local tile out
     // of bounds mid-phase while sibling lanes keep running. Fault logs,
-    // totals and partial outputs must match the scalar reference.
+    // totals and partial outputs must match the tree-walk reference.
     let app = PerfclApp {
         name: "midfault",
         source: "",
@@ -355,6 +372,7 @@ fn fault_logs_are_identical_across_modes_and_launches() {
         &data,
         (24, 16),
         (8, 8),
+        64,
         (ExecMode::Compiled, OptLevel::Full),
         Launch::Serial,
     );
@@ -396,6 +414,7 @@ fn runtime_errors_are_identical_across_modes_and_launches() {
         &data,
         (24, 16),
         (8, 8),
+        64,
         (ExecMode::Interpreted, OptLevel::Full),
         Launch::Parallel(2),
     );
