@@ -80,7 +80,7 @@ pub use metrics::{
     max_abs_error, mean_absolute_error, mean_relative_error, psnr, rmse, Distribution, ErrorMetric,
     MRE_EPSILON,
 };
-pub use par::{parallel_ordered_map, resolve_threads};
+pub use par::parallel_ordered_map;
 pub use pareto::{pareto_front, TradeOff};
 pub use pipeline::{
     pack_tiled, AccurateGlobalKernel, AccurateLocalKernel, AppRef, ImageBinding, PerforatedKernel,

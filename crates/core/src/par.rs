@@ -10,15 +10,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Resolves a thread-count knob: `0` means "all available cores". Same
-/// policy as the launch engine's knob (delegates to
-/// [`kp_gpu_sim::resolve_parallelism`]).
-pub fn resolve_threads(requested: usize) -> usize {
-    kp_gpu_sim::resolve_parallelism(requested)
-}
-
 /// Applies `f` to every item in parallel on `threads` scoped workers
-/// (`0` = all cores), returning results in input order.
+/// (resolved by [`kp_gpu_sim::resolve_parallelism`]: `0` = all cores),
+/// returning results in input order.
 ///
 /// # Panics
 ///
@@ -29,7 +23,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = resolve_threads(threads).min(items.len().max(1));
+    let workers = kp_gpu_sim::resolve_parallelism(threads).min(items.len().max(1));
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -83,11 +77,5 @@ mod tests {
     fn empty_input_is_empty_output() {
         let items: [u8; 0] = [];
         assert!(parallel_ordered_map(&items, 4, |_, &x| x).is_empty());
-    }
-
-    #[test]
-    fn resolve_threads_zero_is_auto() {
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(3), 3);
     }
 }

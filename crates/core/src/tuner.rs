@@ -152,10 +152,10 @@ pub fn sweep(ctx: &SweepContext<'_>, specs: &[RunSpec]) -> Result<Vec<SweepOutco
 }
 
 /// Runs the candidate batch on an `n`-member [`DeviceGroup`]: each spec is
-/// placed on the least-loaded member (round-robin, since members start
-/// idle and every spec counts as one unit of load), each member runs its
-/// shard as one batched command stream, and results are stitched back in
-/// spec order. Members are identically configured, so every per-spec
+/// placed with [`DeviceGroup::place`] (round-robin, since every member is
+/// idle while the batch is placed, so every pick is a tie), each member
+/// runs its shard as one batched command stream, and results are stitched
+/// back in spec order. Members are identically configured, so every per-spec
 /// number is bit-identical to the single-device batch.
 fn run_specs_grouped(
     ctx: &SweepContext<'_>,

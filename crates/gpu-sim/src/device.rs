@@ -579,8 +579,17 @@ impl Device {
                 None,
             )
         } else {
-            engine::execute_groups_parallel(
-                kernel, &self.cfg, &plan, &setup, &snapshot, profiling, workers, None,
+            engine::execute_groups_span(
+                kernel,
+                &self.cfg,
+                &plan,
+                &setup,
+                &snapshot,
+                profiling,
+                workers,
+                None,
+                0,
+                plan.group_coords.len(),
             )
         };
         // Drop the snapshot before applying so unshared buffers are

@@ -476,43 +476,13 @@ pub(crate) fn execute_groups_serial<K: Kernel + ?Sized>(
     (outcomes, entries)
 }
 
-/// Runs the groups of a launch sharded over `workers` scoped threads, all
-/// against the same read-only `snapshot`. Outcomes and write entries come
-/// back in row-major group order, so replaying the entries produces the
-/// exact buffers a serial execution of independent groups would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_groups_parallel<K: Kernel + Sync + ?Sized>(
-    kernel: &K,
-    cfg: &DeviceConfig,
-    plan: &LaunchPlan,
-    setup: &LaunchSetup,
-    snapshot: &BufTable,
-    profiling: bool,
-    workers: usize,
-    mask: Option<&AccessMask>,
-) -> (Vec<GroupOutcome>, Vec<WriteEntry>) {
-    execute_groups_span(
-        kernel,
-        cfg,
-        plan,
-        setup,
-        snapshot,
-        profiling,
-        workers,
-        mask,
-        0,
-        plan.group_coords.len(),
-    )
-}
-
 /// Runs the row-major span `lo..hi` of a launch's groups, sharded over
 /// `workers` scoped threads against the read-only `snapshot`. This is the
 /// primitive a [`crate::DeviceGroup`] shards one launch across member
 /// devices with: each member executes a contiguous span, and concatenating
 /// the spans in device order restores full row-major group order —
-/// bit-identical to [`execute_groups_parallel`] over `0..n` on one device,
-/// because per-group execution never observes which span (or device) it
-/// ran in.
+/// bit-identical to one device running the whole span `0..n`, because
+/// per-group execution never observes which span (or device) it ran in.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_groups_span<K: Kernel + Sync + ?Sized>(
     kernel: &K,

@@ -13,7 +13,8 @@
 //!   **bit-identical** to a single-device run at any member count.
 //! * **Placement** ([`DeviceGroup::place`] / [`DeviceGroup::launch_on`]):
 //!   independent commands (tuner candidates, concurrent requests) go to
-//!   the least-loaded member, with a deterministic lowest-index tie-break.
+//!   the member with the fewest pending commands; ties rotate
+//!   deterministically, so an idle fleet is filled round-robin.
 //! * **Coherent buffers**: a group-level buffer has one allocation per
 //!   member (created in identical order, so handles and base addresses
 //!   agree fleet-wide) plus a validity bit per copy and a `latest_source`
@@ -79,10 +80,9 @@ pub struct DeviceGroup {
     /// Group-level coherence state, slot-indexed like each member's own
     /// buffer table (handles agree fleet-wide by construction).
     buffers: Vec<Option<GroupBuffer>>,
-    /// Commands assigned through [`DeviceGroup::place`] per member, the
-    /// deterministic component of the load signal (live queue depth via
-    /// `pending_commands` is the other).
-    assigned_load: Vec<u64>,
+    /// The member [`DeviceGroup::place`] tries first among equally
+    /// loaded ones: one past its previous pick.
+    cursor: usize,
     stats: GroupStats,
 }
 
@@ -117,7 +117,7 @@ impl DeviceGroup {
         Ok(Self {
             devices,
             buffers: Vec::new(),
-            assigned_load: vec![0; n],
+            cursor: 0,
             stats: GroupStats::default(),
         })
     }
@@ -460,27 +460,31 @@ impl DeviceGroup {
         self.migrate_to(slot, member)
     }
 
-    /// The member index least-loaded right now: smallest live queue depth
-    /// plus [`DeviceGroup::place`]-assigned count, ties broken by the
-    /// lowest index (deterministic).
+    /// The member with the fewest pending (queued or running) commands
+    /// right now, ties broken by the lowest index.
     pub fn least_loaded(&self) -> usize {
-        (0..self.devices.len())
-            .min_by_key(|&d| {
-                (
-                    self.devices[d].pending_commands() as u64 + self.assigned_load[d],
-                    d,
-                )
-            })
-            .expect("group has at least one member")
+        self.fewest_pending_from(0)
     }
 
-    /// Picks the least-loaded member for the next independent command and
-    /// records the assignment (so a burst of placements round-robins
-    /// across idle members instead of piling onto one).
+    /// Picks the member with the fewest pending commands for the next
+    /// independent command. Ties go to the first such member at or after
+    /// the previous pick's successor, so a burst of placements, or
+    /// commands placed one at a time and each finished before the next,
+    /// round-robins across the members instead of piling onto one.
     pub fn place(&mut self) -> usize {
-        let d = self.least_loaded();
-        self.assigned_load[d] += 1;
+        let d = self.fewest_pending_from(self.cursor);
+        self.cursor = (d + 1) % self.devices.len();
         d
+    }
+
+    /// The member with the fewest pending commands, scanning from
+    /// `start` and wrapping; the first one scanned wins a tie.
+    fn fewest_pending_from(&self, start: usize) -> usize {
+        let n = self.devices.len();
+        (0..n)
+            .map(|i| (start + i) % n)
+            .min_by_key(|&d| self.devices[d].pending_commands())
+            .expect("group has at least one member")
     }
 
     /// Executes one whole (unsharded) launch on member `idx`, blocking

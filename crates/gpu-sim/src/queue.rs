@@ -82,7 +82,7 @@ use crate::buffer::{BufferId, Scalar};
 use crate::config::DeviceConfig;
 use crate::device::{DeviceShared, DeviceState};
 use crate::engine::{
-    self, execute_groups_parallel, resolve_parallelism, BufTable, LaunchPlan, LaunchSetup,
+    self, execute_groups_span, resolve_parallelism, BufTable, LaunchPlan, LaunchSetup,
 };
 use crate::error::SimError;
 use crate::event::{Event, EventTiming};
@@ -1163,7 +1163,7 @@ fn execute_launch(shared: &Arc<DeviceShared>, run: LaunchRun) {
                 run.mask.as_ref(),
             )
         } else {
-            execute_groups_parallel(
+            execute_groups_span(
                 &*run.kernel,
                 &run.cfg,
                 &run.plan,
@@ -1172,6 +1172,8 @@ fn execute_launch(shared: &Arc<DeviceShared>, run: LaunchRun) {
                 run.profiling,
                 run.workers,
                 run.mask.as_ref(),
+                0,
+                run.plan.group_coords.len(),
             )
         };
         let result = engine::reduce_outcomes(

@@ -6,11 +6,18 @@
 //! migrate between members **on demand only**. These tests pin both:
 //! sharded launches (clean and faulting) against a plain [`Device`]
 //! reference at 1/2/4 members, seeded random command graphs replayed on a
-//! 1-member group, and migration counters across device-local reuse.
+//! 1-member group, migration counters across device-local reuse, the
+//! enqueued serve loop (place → prefetch → enqueue → watch → drain)
+//! against a `launch_serial` reference, and placement around a busy
+//! member.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use kp_gpu_sim::{
-    BufferId, BufferUse, Device, DeviceConfig, DeviceGroup, ItemCtx, Kernel, LaunchReport, NdRange,
-    SimError,
+    BufferId, BufferUse, CompletionQueue, Device, DeviceConfig, DeviceGroup, Event, ItemCtx,
+    Kernel, LaunchReport, NdRange, SimError,
 };
 
 const LEN: usize = 192;
@@ -51,6 +58,40 @@ impl Kernel for ScaleOffset {
             ctx.write_global(self.dst, i, v + 1.0);
             ctx.ops(1);
         }
+    }
+}
+
+/// Spins until its gate opens, then writes one element: a command that
+/// keeps its member busy for as long as the test wants.
+struct Gated {
+    buf: BufferId,
+    gate: Arc<AtomicBool>,
+}
+
+impl Kernel for Gated {
+    fn name(&self) -> &str {
+        "gated"
+    }
+
+    fn buffer_usage(&self) -> Option<BufferUse> {
+        Some(BufferUse::new([], [self.buf]))
+    }
+
+    fn run_phase(&self, _phase: usize, ctx: &mut ItemCtx<'_>) {
+        while !self.gate.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        ctx.write_global(self.buf, ctx.global_id(0), 1.0f32);
+    }
+}
+
+/// Opens a gate when dropped — including during unwinding — so a failed
+/// assertion can never leave a worker spinning and hang the test binary.
+struct OpenOnDrop(Arc<AtomicBool>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
@@ -298,4 +339,169 @@ fn migrations_happen_on_demand_only() {
     // the re-invalidated dst (written by member 0 in the gather).
     group.launch_sharded(&kernel, range).unwrap();
     assert_eq!(group.stats().migrations, 5);
+}
+
+/// The serving path end to end on a 2-member fleet: every request is
+/// placed, makes the shared frame resident with `prefetch`, enqueues on
+/// its member's queue into a pooled output slot and is harvested through
+/// one `CompletionQueue`, while the host rewrites the frame every
+/// `REFRESH` requests. Every request must succeed with the bits a serial
+/// launch of the same frame version produces, the refreshes must cost
+/// priced migrations, and every slot must come back to its pool.
+#[test]
+fn fleet_serve_loop_is_error_free_bit_identical_and_pays_migrations() {
+    const REQUESTS: u64 = 48;
+    const INFLIGHT: usize = 6;
+    const REFRESH: u64 = 8;
+    let factors = [0.5f32, 2.0, 3.5];
+    let range = NdRange::new_1d(LEN, 8).unwrap();
+
+    // Auto worker pools, so the CI legs' KP_SIM_PARALLELISM applies.
+    let mut cfg = DeviceConfig::test_tiny();
+    cfg.parallelism = 0;
+    let mut group = DeviceGroup::with_devices(cfg.clone(), 2).unwrap();
+    let frame = group.create_buffer_from("frame", &seeded_image(0)).unwrap();
+    let mut pools: Vec<Vec<BufferId>> = group
+        .members_mut()
+        .iter_mut()
+        .map(|dev| {
+            (0..INFLIGHT)
+                .map(|_| dev.create_buffer::<f32>("out", LEN).unwrap())
+                .collect()
+        })
+        .collect();
+    let queues: Vec<_> = (0..2).map(|m| group.create_queue(m)).collect();
+
+    // A serial launch on a plain device is every request's reference.
+    let mut reference = Device::new(DeviceConfig::test_tiny()).unwrap();
+    let mut serial_bits = |version: u64, factor: f32| {
+        let src = reference
+            .create_buffer_from("frame", &seeded_image(version))
+            .unwrap();
+        let dst = reference.create_buffer::<f32>("out", LEN).unwrap();
+        let kernel = ScaleOffset {
+            src,
+            dst,
+            factor,
+            oob_at: None,
+        };
+        reference.launch_serial(&kernel, range).unwrap();
+        bits(&reference.read_buffer::<f32>(dst).unwrap())
+    };
+
+    let cq = CompletionQueue::new();
+    let mut pending: HashMap<u64, (Event, usize, BufferId, Vec<u32>)> = HashMap::new();
+    let (mut admitted, mut completed) = (0u64, 0u64);
+    while completed < REQUESTS {
+        while pending.len() < INFLIGHT && admitted < REQUESTS {
+            let req = admitted;
+            admitted += 1;
+            let version = req / REFRESH;
+            if req > 0 && req.is_multiple_of(REFRESH) {
+                group.write_buffer(frame, &seeded_image(version)).unwrap();
+            }
+            let factor = factors[req as usize % factors.len()];
+            let member = group.place();
+            group.prefetch(frame, member).unwrap();
+            let slot = pools[member].pop().expect("the pool covers the window");
+            let kernel = ScaleOffset {
+                src: frame,
+                dst: slot,
+                factor,
+                oob_at: None,
+            };
+            let launch = queues[member].enqueue_launch(kernel, range, &[]).unwrap();
+            cq.watch(&launch, req);
+            // Ordered after the launch by its read-after-write hazard.
+            let read = queues[member].enqueue_read::<f32>(slot, &[]).unwrap();
+            pending.insert(req, (read, member, slot, serial_bits(version, factor)));
+        }
+        let first = cq.next().expect("requests in flight");
+        for c in std::iter::once(first).chain(cq.drain()) {
+            let (read, member, slot, want) = pending.remove(&c.token).expect("tracked");
+            assert!(c.result.is_ok(), "request {}: {:?}", c.token, c.result);
+            let out = read.wait_read::<f32>().unwrap();
+            assert_eq!(bits(&out), want, "request {} differs from serial", c.token);
+            pools[member].push(slot);
+            completed += 1;
+        }
+    }
+
+    let stats = group.stats();
+    assert!(stats.migrations > 0, "refreshes never migrated: {stats:?}");
+    assert!(
+        stats.migration_seconds(&cfg) > 0.0,
+        "migrations were not priced"
+    );
+    for (member, pool) in pools.iter().enumerate() {
+        assert_eq!(pool.len(), INFLIGHT, "member {member} lost an output slot");
+    }
+}
+
+/// `place` balances the commands pending right now. Requests placed one
+/// at a time, each finished before the next, alternate between two idle
+/// members; while member 1 is held busy, every request goes to member 0,
+/// however many member 0 has already taken.
+#[test]
+fn place_rotates_on_ties_and_skips_a_busy_member() {
+    let mut group = DeviceGroup::with_devices(DeviceConfig::test_tiny(), 2).unwrap();
+    let src = group.create_buffer_from("src", &seeded_image(5)).unwrap();
+    let outs: Vec<BufferId> = group
+        .members_mut()
+        .iter_mut()
+        .map(|dev| dev.create_buffer::<f32>("out", LEN).unwrap())
+        .collect();
+    let queues: Vec<_> = (0..2).map(|m| group.create_queue(m)).collect();
+    let range = NdRange::new_1d(LEN, 8).unwrap();
+    let run_on = |member: usize| {
+        let kernel = ScaleOffset {
+            src,
+            dst: outs[member],
+            factor: 2.0,
+            oob_at: None,
+        };
+        queues[member]
+            .enqueue_launch(kernel, range, &[])
+            .unwrap()
+            .wait()
+            .unwrap();
+    };
+
+    let picks: Vec<usize> = (0..4)
+        .map(|_| {
+            let member = group.place();
+            run_on(member);
+            member
+        })
+        .collect();
+    assert_eq!(
+        picks,
+        [0, 1, 0, 1],
+        "one-at-a-time placement must alternate"
+    );
+
+    let gate = Arc::new(AtomicBool::new(false));
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let busy = group.members_mut()[1]
+        .create_buffer::<f32>("busy", 8)
+        .unwrap();
+    let held = queues[1]
+        .enqueue_launch(
+            Gated {
+                buf: busy,
+                gate: Arc::clone(&gate),
+            },
+            NdRange::new_1d(8, 8).unwrap(),
+            &[],
+        )
+        .unwrap();
+    for round in 0..4 {
+        let member = group.place();
+        // Checked before enqueueing: a request queued behind the gated
+        // kernel on a one-worker member would never finish.
+        assert_eq!(member, 0, "round {round} placed behind the busy member");
+        run_on(member);
+    }
+    gate.store(true, Ordering::Release);
+    held.wait().unwrap();
 }

@@ -5,9 +5,9 @@
 //! (mixed apps, mixed error budgets), places each on the least-loaded
 //! member, enqueues it on that member's command queue, and harvests
 //! finished work through one `CompletionQueue` — no thread ever parks on
-//! an individual event. The full-scale measured version of this loop is
-//! the `servebench` binary in `crates/bench` (writes
-//! `BENCH_server.json`).
+//! an individual event. The repository benchmark's `serve` workload
+//! (`perfbench/`, declared in `BENCHMARK.json`) measures this loop at
+//! full scale, with tuning-cache admission and SLA adaptation.
 //!
 //! ```sh
 //! cargo run --release --example serve
