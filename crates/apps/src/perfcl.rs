@@ -4,9 +4,9 @@
 //! Rust [`kp_core::StencilApp`]s (the other modules of this crate) and —
 //! here — as PerfCL kernel sources for the `kp-ir` language toolchain.
 //! The PerfCL ports are what the bytecode-VM differential suite and the
-//! `simbench` interpreted-vs-compiled throughput benchmark run: realistic
-//! full-size kernels, in the canonical stencil form the automatic
-//! perforation pass recognizes.
+//! repository benchmark's `perfcl` workload run: realistic full-size
+//! kernels, in the canonical stencil form the automatic perforation pass
+//! recognizes.
 //!
 //! Calling convention (so harnesses can bind arguments generically): every
 //! kernel takes `global const float* in`, `global float* out`, `int width`,
@@ -183,6 +183,7 @@ pub fn by_name(name: &str) -> Option<PerfclApp> {
 mod tests {
     use super::*;
     use kp_ir::transform::{perforate_kernel, IrRecon, IrScheme, PassConfig};
+    use kp_ir::{ArgValue, IrKernel};
 
     #[test]
     fn all_sources_parse_and_typecheck() {
@@ -227,6 +228,70 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", app.name));
             kp_ir::typeck::check(&perforated).unwrap_or_else(|e| panic!("{}: {e}", app.name));
         }
+    }
+
+    /// The optimizer removes work from every kernel the perfcl benchmark
+    /// runs: each app accurate, {Rows½, Rows¼, Cols½} × {NN, LI}, and
+    /// Stencil NN where the halo is > 0 — 39 kernels at 16×16 tiles. Each
+    /// must shrink to at most 60% of its as-lowered instruction count.
+    #[test]
+    fn optimizer_removes_at_least_40_percent_of_every_benchmark_kernel() {
+        const SIZE: usize = 32;
+        let mut dev = kp_gpu_sim::Device::new(kp_gpu_sim::DeviceConfig::test_tiny()).unwrap();
+        let input = dev.create_buffer::<f32>("in", SIZE * SIZE).unwrap();
+        let aux = dev.create_buffer::<f32>("aux", SIZE * SIZE).unwrap();
+        let out = dev.create_buffer::<f32>("out", SIZE * SIZE).unwrap();
+        let mut kernels = 0;
+        for app in evaluation_kernels() {
+            let mut args = vec![
+                ("in", ArgValue::Buffer(input)),
+                ("out", ArgValue::Buffer(out)),
+                ("width", ArgValue::Int(SIZE as i64)),
+                ("height", ArgValue::Int(SIZE as i64)),
+            ];
+            if app.needs_aux {
+                args.push(("aux", ArgValue::Buffer(aux)));
+            }
+            args.extend(app.extra_args.iter().map(|&(n, v)| (n, ArgValue::Float(v))));
+            let accurate = kp_ir::parser::parse(app.source).unwrap().kernels[0].clone();
+            let mut passes = vec![None];
+            for scheme in [
+                IrScheme::RowsHalf,
+                IrScheme::RowsQuarter,
+                IrScheme::ColsHalf,
+            ] {
+                for reconstruction in [IrRecon::NearestNeighbor, IrRecon::LinearInterpolation] {
+                    passes.push(Some((scheme, reconstruction)));
+                }
+            }
+            if app.halo > 0 {
+                passes.push(Some((IrScheme::Stencil, IrRecon::NearestNeighbor)));
+            }
+            for pass in passes {
+                let def = match pass {
+                    None => accurate.clone(),
+                    Some((scheme, reconstruction)) => {
+                        let config = PassConfig {
+                            scheme,
+                            reconstruction,
+                            tile_w: 16,
+                            tile_h: 16,
+                        };
+                        perforate_kernel(&accurate, &config).unwrap()
+                    }
+                };
+                let stats = IrKernel::new(def, &args).unwrap().opt_stats();
+                assert!(
+                    stats.insts_after * 10 <= stats.insts_before * 6,
+                    "{} {pass:?}: {} of {} instructions left after optimization",
+                    app.name,
+                    stats.insts_after,
+                    stats.insts_before
+                );
+                kernels += 1;
+            }
+        }
+        assert_eq!(kernels, 39, "the benchmark's kernel set changed");
     }
 
     #[test]

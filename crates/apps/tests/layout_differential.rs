@@ -111,6 +111,41 @@ fn burst_layout_is_bit_identical_for_region_workloads() {
     }
 }
 
+/// The layout pays where it should: on a burst-discounted device, the
+/// burst-tiled layout of the bandwidth-bound RegionSum reduction (its load
+/// phase dominates) stays bit-identical to the strided layout and is
+/// faster in simulated time — at least 1.1× for the full-tile Accurate
+/// select and never slower for Cols1:NN. Simulated seconds are
+/// deterministic, so these bounds hold on any host.
+#[test]
+fn burst_layout_pays_on_bandwidth_bound_regionsum() {
+    let regionsum = suite::workload_by_name("regionsum").unwrap().workload;
+    let data = kp_data::synth::photo_like(SIZE, SIZE, 0x1A73)
+        .as_slice()
+        .to_vec();
+    let mut dev = Device::new(DeviceConfig::firepro_w5100().with_burst_discount(8)).unwrap();
+    for (config, min_ratio) in [
+        (ApproxConfig::accurate((16, 16)), 1.1),
+        (ApproxConfig::cols1_nn((16, 16)), 1.0),
+    ] {
+        let label = RunSpec::Perforated(config).label();
+        let (strided, strided_seconds, _) = run_layout(&mut dev, regionsum, &data, None, config);
+        let (burst, burst_seconds, _) = run_layout(
+            &mut dev,
+            regionsum,
+            &data,
+            None,
+            config.with_layout(PrefetchLayout::BurstTiled),
+        );
+        assert_eq!(strided, burst, "{label}: burst-tiled regionsum diverged");
+        let ratio = strided_seconds / burst_seconds;
+        assert!(
+            ratio >= min_ratio,
+            "{label}: strided/burst simulated seconds {ratio:.3} below {min_ratio}"
+        );
+    }
+}
+
 /// Systolic shift ≡ re-fetch: for every halo-carrying app, halo rows
 /// handed over from the neighboring group's tile are bit-identical to
 /// rows re-fetched from DRAM (the same-snapshot contract), and the

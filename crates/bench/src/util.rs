@@ -3,6 +3,7 @@
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kp_apps::AppEntry;
 use kp_core::{run_app, CoreError, ImageInput, RunResult, RunSpec};
@@ -185,89 +186,49 @@ pub fn run_once_at(
     run_app(&mut dev, entry.workload, &input.as_input(), spec)
 }
 
-/// The perforated PerfCL Gaussian kernel (`Rows1:NN`) specialized for
-/// `group` — the workload of simbench's interpreted-vs-compiled
-/// throughput measurement. Produced by the automatic perforation pass
-/// from the canonical PerfCL source, exactly as a sweep would.
-pub fn ir_gaussian_rows1(group: (usize, usize)) -> kp_ir::ast::KernelDef {
-    use kp_ir::transform::{perforate_kernel, IrRecon, IrScheme, PassConfig};
-    let prog = kp_ir::parser::parse(kp_apps::perfcl::GAUSSIAN_SRC).expect("gaussian parses");
-    perforate_kernel(
-        &prog.kernels[0],
-        &PassConfig {
-            scheme: IrScheme::RowsHalf,
-            reconstruction: IrRecon::NearestNeighbor,
-            tile_w: group.0,
-            tile_h: group.1,
-        },
-    )
-    .expect("gaussian perforates")
-}
-
-/// Runs the IR Gaussian workload once at the given execution mode and
-/// optimization level on a single engine worker, returning (wall seconds,
-/// groups simulated). Kernel construction — and therefore bytecode
-/// compilation and optimization — happens outside the timed region: the
-/// benchmark measures executor throughput.
+/// Applies `f` to every item of `items` on one scoped worker per core
+/// ([`kp_gpu_sim::resolve_parallelism`]`(0)`, so `KP_SIM_PARALLELISM`
+/// applies), returning results in input order. Each call of `f` builds
+/// its own devices; results are collected by input index, so the output
+/// does not depend on thread scheduling.
 ///
 /// # Panics
 ///
-/// Panics if `size` is not a multiple of the group extents or the launch
-/// fails (benchmark workloads are fixed and must succeed).
-pub fn run_ir_gaussian(
-    def: &kp_ir::ast::KernelDef,
-    data: &[f32],
-    size: usize,
-    group: (usize, usize),
-    mode: kp_gpu_sim::ExecMode,
-    opt: kp_gpu_sim::OptLevel,
-) -> (f64, usize) {
-    use kp_ir::{ArgValue, IrKernel};
-    assert_eq!(
-        size % group.0,
-        0,
-        "size must be a multiple of the tile width"
-    );
-    assert_eq!(
-        size % group.1,
-        0,
-        "size must be a multiple of the tile height"
-    );
-    let mut cfg = DeviceConfig::firepro_w5100();
-    cfg.parallelism = 1;
-    cfg.exec_mode = mode;
-    cfg.opt_level = opt;
-    let mut dev = Device::new(cfg).expect("device config valid");
-    let in_buf = dev.create_buffer_from("in", data).expect("input fits");
-    let out_buf = dev
-        .create_buffer::<f32>("out", size * size)
-        .expect("output fits");
-    let kernel = IrKernel::new(
-        def.clone(),
-        &[
-            ("in", ArgValue::Buffer(in_buf)),
-            ("out", ArgValue::Buffer(out_buf)),
-            ("width", ArgValue::Int(size as i64)),
-            ("height", ArgValue::Int(size as i64)),
-        ],
-    )
-    .expect("kernel binds");
-    let range = kp_gpu_sim::NdRange::new_2d((size, size), group).expect("range valid");
-    let started = std::time::Instant::now();
-    let report = dev.launch(&kernel, range).expect("launch succeeds");
-    assert!(kernel.take_runtime_error().is_none());
-    (started.elapsed().as_secs_f64(), report.groups)
-}
-
-/// Applies `f` to every item of `items` in parallel (per-thread devices),
-/// preserving order. Panics in workers propagate.
+/// Propagates panics from worker threads.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    kp_core::parallel_ordered_map(items, 0, |_, item| f(item))
+    let workers = kp_gpu_sim::resolve_parallelism(0).min(items.len().max(1));
+    if workers <= 1 {
+        return items.iter().map(&f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        out.push((i, f(&items[i])));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
+            .collect()
+    });
+    indexed.sort_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Writes rows as CSV (first row should be the header).
@@ -324,30 +285,16 @@ mod tests {
     }
 
     #[test]
-    fn ir_gaussian_workload_runs_in_all_modes() {
-        let def = ir_gaussian_rows1((8, 8));
-        let image = kp_data::synth::photo_like(32, 32, 7);
-        // The lane-batched VM at both optimization levels, and the
-        // tree-walking reference.
-        for (mode, opt) in [
-            (kp_gpu_sim::ExecMode::Compiled, kp_gpu_sim::OptLevel::Full),
-            (kp_gpu_sim::ExecMode::Compiled, kp_gpu_sim::OptLevel::None),
-            (
-                kp_gpu_sim::ExecMode::Interpreted,
-                kp_gpu_sim::OptLevel::Full,
-            ),
-        ] {
-            let (seconds, groups) = run_ir_gaussian(&def, image.as_slice(), 32, (8, 8), mode, opt);
-            assert_eq!(groups, 16, "{mode}/{opt}");
-            assert!(seconds > 0.0, "{mode}/{opt}");
-        }
-    }
-
-    #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
         let out = parallel_map(&items, |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_input_is_empty_output() {
+        let items: [u8; 0] = [];
+        assert!(parallel_map(&items, |&x| x).is_empty());
     }
 
     #[test]

@@ -69,7 +69,6 @@ mod scheme;
 mod tile;
 mod tuner;
 
-pub mod par;
 pub mod paraprox;
 pub mod pipeline;
 
@@ -80,7 +79,6 @@ pub use metrics::{
     max_abs_error, mean_absolute_error, mean_relative_error, psnr, rmse, Distribution, ErrorMetric,
     MRE_EPSILON,
 };
-pub use par::parallel_ordered_map;
 pub use pareto::{pareto_front, TradeOff};
 pub use pipeline::{
     pack_tiled, AccurateGlobalKernel, AccurateLocalKernel, AppRef, ImageBinding, PerforatedKernel,

@@ -607,7 +607,7 @@ pub(crate) fn reduce_outcomes(
 /// Resolves a parallelism knob to a concrete worker count
 /// (`0` = one per available core). Shared policy for the launch engine,
 /// the persistent command-queue worker pool and host-side harnesses
-/// (`kp_core::par` delegates here).
+/// (the `repro` harness's parallel map).
 ///
 /// The `KP_SIM_PARALLELISM` environment variable, when set to a positive
 /// integer, overrides the *auto* resolution (`requested == 0`) only — CI

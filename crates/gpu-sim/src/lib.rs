@@ -69,9 +69,9 @@
 //! satisfied executes **eagerly, out of order and concurrently** on a
 //! persistent per-device worker pool — commands start *before* the first
 //! wait, so host code between enqueue and wait overlaps with the device,
-//! and [`Queue::set_priority`] steers which ready command a free worker
-//! picks first. Every observable result stays bit-identical to executing
-//! the stream one command at a time in enqueue order. See the
+//! and a free worker picks the first ready command in enqueue order.
+//! Every observable result stays bit-identical to executing the stream
+//! one command at a time in enqueue order. See the
 //! [`queue`][Queue] docs for the pool lifecycle and the full determinism
 //! argument, and [`Event::timing`] for per-command profiling timestamps.
 //!

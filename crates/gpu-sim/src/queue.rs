@@ -31,11 +31,10 @@
 //! `wait`/`finish` are pure blocking joins on completion; they never
 //! execute commands themselves.
 //!
-//! When several commands are ready at once, workers pick them in a
-//! **deterministic ready-list order**: descending queue priority
-//! ([`Queue::set_priority`], captured per command at enqueue time), then
-//! ascending enqueue sequence. Priorities steer latency only — they can
-//! never change results, because results are schedule-independent (below).
+//! When several commands are ready at once, workers pick them in
+//! **enqueue order** (ascending sequence number). The order steers
+//! latency only — it can never change results, because results are
+//! schedule-independent (below).
 //!
 //! Dropping the [`crate::Device`] shuts the pool down cleanly: workers
 //! finish the command they are executing and exit; no thread outlives the
@@ -56,8 +55,8 @@
 //! logs are replayed in row-major group order, so a queued launch is
 //! bit-identical to [`crate::Device::launch`] of the same kernel. None of
 //! this depends on *when* a ready command starts, which is why the eager
-//! pool (and any priority assignment) preserves bit-identical results,
-//! reports and fault logs at every worker count.
+//! pool preserves bit-identical results, reports and fault logs at every
+//! worker count.
 //!
 //! Multiple queues on one device share a single command stream (one global
 //! enqueue order); queues are grouping/lifetime scopes, not ordering
@@ -136,25 +135,7 @@ pub(crate) struct Command {
     kind: CommandKind,
     queued_at: Duration,
     profiling: bool,
-    /// Scheduling priority, captured from the owning queue at enqueue
-    /// time (higher = picked earlier among simultaneously ready
-    /// commands). Latency steering only — never affects results.
-    priority: u8,
-    /// Times this command was ready but a pool worker picked another
-    /// one. At [`STARVATION_AGE`] the command jumps the priority order —
-    /// the starvation bypass that keeps a closed-loop high-priority
-    /// client from starving low-priority work forever.
-    skipped: u32,
 }
-
-/// Completions a ready launch may be passed over before it is picked
-/// regardless of priority. Strict priority order holds below this age,
-/// so a burst of simultaneously ready high-priority commands still runs
-/// first; a *sustained* stream stops cutting the line after this many
-/// picks. Bounds low-priority completion latency to `STARVATION_AGE + 1`
-/// picks without giving up results determinism (pick order never affects
-/// outcomes — see the determinism tests).
-const STARVATION_AGE: u32 = 64;
 
 enum CommandKind {
     Launch {
@@ -270,9 +251,6 @@ pub(crate) struct Sched {
     readers: HashMap<usize, Vec<u64>>,
     /// Seq of the last enqueued undeclared-usage command, if any.
     last_universal: Option<u64>,
-    /// Per-queue scheduling priority (see [`Queue::set_priority`]);
-    /// absent means the default, 0.
-    queue_prio: HashMap<u64, u8>,
     /// Completion callbacks of still-pending commands, keyed by seq.
     /// Taken (exactly once) by whichever path settles the command —
     /// execution, queue cancellation, or device shutdown — and fired
@@ -371,57 +349,25 @@ impl Sched {
         self.pending.len()
     }
 
-    /// Scheduling priority of a queue (default 0).
-    fn queue_priority(&self, queue: u64) -> u8 {
-        self.queue_prio.get(&queue).copied().unwrap_or(0)
-    }
-
-    /// Every ready host-side (non-launch) command, in deterministic
-    /// ready-list order: descending priority, then enqueue sequence.
+    /// Every ready host-side (non-launch) command, in enqueue order.
     /// Ready commands are pairwise hazard-independent, so this order only
     /// decides who gets their event resolved first.
     fn ready_host_commands(&self) -> Vec<u64> {
-        let mut ready: Vec<(std::cmp::Reverse<u8>, u64)> = self
-            .pending
+        // BTreeMap iteration order: ascending by seq.
+        self.pending
             .iter()
             .filter(|(&seq, cmd)| !cmd.kind.is_launch() && self.is_ready(seq, cmd))
-            .map(|(&seq, cmd)| (std::cmp::Reverse(cmd.priority), seq))
-            .collect();
-        ready.sort_unstable();
-        ready.into_iter().map(|(_, seq)| seq).collect()
+            .map(|(&seq, _)| seq)
+            .collect()
     }
 
-    /// The ready launch a free worker should pick next: highest priority
-    /// first, enqueue order within one priority — unless a ready command
-    /// has been passed over [`STARVATION_AGE`] times, in which case the
-    /// oldest such command wins outright (anti-starvation aging). Every
-    /// ready launch that loses this pick ages by one.
-    fn pick_ready_launch(&mut self) -> Option<u64> {
-        // BTreeMap iteration order: `ready` is ascending by seq.
-        let ready: Vec<(u64, u8)> = self
-            .pending
+    /// The ready launch a free worker should pick next: the first in
+    /// enqueue order.
+    fn pick_ready_launch(&self) -> Option<u64> {
+        self.pending
             .iter()
-            .filter(|(&seq, cmd)| cmd.kind.is_launch() && self.is_ready(seq, cmd))
-            .map(|(&seq, cmd)| (seq, cmd.priority))
-            .collect();
-        let aged = ready
-            .iter()
-            .find(|&&(seq, _)| self.pending[&seq].skipped >= STARVATION_AGE)
-            .map(|&(seq, _)| seq);
-        let winner = aged.or_else(|| {
-            ready
-                .iter()
-                .min_by_key(|&&(seq, prio)| (std::cmp::Reverse(prio), seq))
-                .map(|&(seq, _)| seq)
-        })?;
-        for &(seq, _) in &ready {
-            if seq != winner {
-                if let Some(cmd) = self.pending.get_mut(&seq) {
-                    cmd.skipped += 1;
-                }
-            }
-        }
-        Some(winner)
+            .find(|(&seq, cmd)| cmd.kind.is_launch() && self.is_ready(seq, cmd))
+            .map(|(&seq, _)| seq)
     }
 
     fn complete(&mut self, seq: u64, slot: EventSlot) {
@@ -841,7 +787,6 @@ impl Queue {
     ) -> u64 {
         let deps = st.sched.collect_deps(&access, &explicit);
         let profiling = st.profiling;
-        let priority = st.sched.queue_priority(self.id);
         let seq = st.sched.insert(Command {
             queue: self.id,
             deps,
@@ -850,8 +795,6 @@ impl Queue {
             kind,
             queued_at: shared.epoch.elapsed(),
             profiling,
-            priority,
-            skipped: 0,
         });
         st.sched.track_event(seq);
         // Cross-device waits: one bridge thread per foreign event waits
@@ -888,43 +831,6 @@ impl Queue {
         ensure_workers(shared, st);
         shared.cv.notify_all();
         seq
-    }
-
-    /// Sets this queue's scheduling priority (default 0; higher runs
-    /// earlier). When several commands are ready at the same time, pool
-    /// workers pick them in descending priority, then enqueue order — a
-    /// deterministic ready-list order. Priorities are strict but not
-    /// starving: a ready command passed over often enough jumps the
-    /// order (anti-starvation aging), so a sustained stream of
-    /// high-priority work delays low-priority commands by a bounded
-    /// number of picks instead of forever. The priority is captured per
-    /// command **at enqueue time**: changing it affects commands enqueued
-    /// afterwards, not ones already in the stream.
-    ///
-    /// Priorities steer latency only. Results, reports and fault logs are
-    /// bit-identical for every priority assignment (see the module docs'
-    /// determinism argument).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DeviceLost`].
-    pub fn set_priority(&self, priority: u8) -> Result<(), SimError> {
-        let shared = self.upgrade()?;
-        let mut st = shared.state.lock().expect("device state poisoned");
-        st.sched.queue_prio.insert(self.id, priority);
-        Ok(())
-    }
-
-    /// This queue's current scheduling priority (see
-    /// [`Queue::set_priority`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DeviceLost`].
-    pub fn priority(&self) -> Result<u8, SimError> {
-        let shared = self.upgrade()?;
-        let st = shared.state.lock().expect("device state poisoned");
-        Ok(st.sched.queue_priority(self.id))
     }
 
     /// Blocks until every still-pending command of this queue has
@@ -1016,7 +922,7 @@ fn worker_loop(shared: &Arc<DeviceShared>) {
             return;
         }
         // Host-side commands are cheap: resolve every ready one right
-        // here, in ready-list order, before considering launches — they
+        // here, in enqueue order, before considering launches — they
         // never pile up behind a launch while any worker is free (with
         // every worker mid-launch they wait for the first to retire;
         // waits are pure joins and never execute commands themselves).

@@ -12,13 +12,16 @@
 //! member.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use kp_gpu_sim::{
     BufferId, BufferUse, CompletionQueue, Device, DeviceConfig, DeviceGroup, Event, ItemCtx,
     Kernel, LaunchReport, NdRange, SimError,
 };
+
+mod common;
+use common::Rendezvous;
 
 const LEN: usize = 192;
 
@@ -180,6 +183,31 @@ fn sharded_launch_is_bit_identical_to_single_device() {
             "{n}-member output differs from single device"
         );
     }
+}
+
+/// A sharded launch really runs its members at the same time: two 1-item
+/// groups on a 2-member group of single-worker devices meet at a
+/// two-party rendezvous, which only completes if both members are
+/// executing at once.
+#[test]
+fn sharded_launch_runs_its_members_concurrently() {
+    let mut cfg = DeviceConfig::test_tiny();
+    cfg.parallelism = 1;
+    let mut group = DeviceGroup::with_devices(cfg, 2).unwrap();
+    let out = group.create_buffer::<f32>("out", 2).unwrap();
+    let kernel = Rendezvous {
+        out,
+        arrived: Arc::new(AtomicUsize::new(0)),
+        parties: 2,
+    };
+    group
+        .launch_sharded(&kernel, NdRange::new_1d(2, 1).unwrap())
+        .unwrap();
+    assert_eq!(
+        group.read_buffer::<f32>(out).unwrap(),
+        [1.0, 1.0],
+        "the two members did not overlap (0.0 = rendezvous timed out)"
+    );
 }
 
 #[test]

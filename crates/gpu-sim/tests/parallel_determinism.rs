@@ -7,10 +7,16 @@
 //! This must hold for clean kernels and for faulting ones (the fault log,
 //! including its storage cap and total count, is part of the contract).
 
+use std::sync::atomic::AtomicUsize;
+use std::sync::Arc;
+
 use kp_gpu_sim::{
     BufferId, Device, DeviceConfig, ElemKind, ItemCtx, Kernel, LocalId, LocalSpec, NdRange,
     SimError,
 };
+
+mod common;
+use common::Rendezvous;
 
 /// A two-phase 1D stencil: phase 0 cooperatively loads a tile (plus halo)
 /// into local memory, phase 1 computes a 3-point average from the tile.
@@ -200,6 +206,28 @@ fn auto_parallelism_matches_serial() {
     let reference = run_stencil(512, 9, None, None, true);
     let auto = run_stencil(512, 9, None, Some(0), true);
     assert_identical(&reference, &auto, "auto threads");
+}
+
+/// One launch's groups really run on different engine workers: two
+/// 1-item groups on a 2-worker device meet at a two-party rendezvous,
+/// which only completes if both groups are executing at once.
+#[test]
+fn one_launch_runs_its_groups_concurrently_on_two_workers() {
+    let mut cfg = DeviceConfig::test_tiny();
+    cfg.parallelism = 2;
+    let mut dev = Device::new(cfg).unwrap();
+    let out = dev.create_buffer::<f32>("out", 2).unwrap();
+    let kernel = Rendezvous {
+        out,
+        arrived: Arc::new(AtomicUsize::new(0)),
+        parties: 2,
+    };
+    dev.launch(&kernel, NdRange::new_1d(2, 1).unwrap()).unwrap();
+    assert_eq!(
+        dev.read_buffer::<f32>(out).unwrap(),
+        [1.0, 1.0],
+        "the two groups did not overlap (0.0 = rendezvous timed out)"
+    );
 }
 
 /// A kernel that writes and then re-reads its own output buffer within one

@@ -11,7 +11,7 @@
 //! offline, so no `proptest`): every failing case reproduces from the
 //! seed in the assertion message.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,6 +19,9 @@ use kp_gpu_sim::{
     BufferId, BufferUse, CompletionQueue, Device, DeviceConfig, Event, FaultKind, ItemCtx, Kernel,
     LaunchReport, NdRange, Queue, SimError,
 };
+
+mod common;
+use common::Rendezvous;
 
 const BUF_LEN: usize = 64;
 
@@ -288,24 +291,18 @@ enum Reap {
 }
 
 /// Runs a generated graph on `queues` queues, completing it in the
-/// requested [`Reap`] mode. Queue `i` gets priority `prios[i]` when
-/// provided (priorities may steer the pool's pick order but must never
-/// change results). Returns the per-command observations plus the final
-/// contents of every buffer.
+/// requested [`Reap`] mode. Returns the per-command observations plus the
+/// final contents of every buffer.
 fn run_graph(
     graph: &[(Cmd, Vec<usize>)],
     parallelism: usize,
     nbufs: usize,
     queues: usize,
     reap: Reap,
-    prios: &[u8],
 ) -> (Vec<Observed>, Vec<Vec<f32>>) {
     let mut dev = device(parallelism);
     let bufs = make_buffers(&mut dev, nbufs);
     let qs: Vec<Queue> = (0..queues).map(|_| dev.create_queue()).collect();
-    for (q, &p) in qs.iter().zip(prios) {
-        q.set_priority(p).unwrap();
-    }
     let mut events: Vec<(Event, bool)> = Vec::with_capacity(graph.len()); // (event, is_read)
     for (i, (cmd, deps)) in graph.iter().enumerate() {
         let wait: Vec<Event> = deps.iter().map(|&d| events[d].0.clone()).collect();
@@ -452,10 +449,10 @@ fn random_graphs_match_in_order_replay_at_every_worker_count() {
     for seed in 0..6u64 {
         let mut rng = XorShift::new(seed);
         let graph = random_graph(&mut rng, 24, 5, false);
-        let (ref_obs, ref_bufs) = run_graph(&graph, 1, 5, 1, Reap::InOrder, &[]);
+        let (ref_obs, ref_bufs) = run_graph(&graph, 1, 5, 1, Reap::InOrder);
         for parallelism in [1, 2, 8, 0] {
             for queues in [1, 2, 3] {
-                let (obs, bufs) = run_graph(&graph, parallelism, 5, queues, Reap::Blocking, &[]);
+                let (obs, bufs) = run_graph(&graph, parallelism, 5, queues, Reap::Blocking);
                 assert_eq!(
                     obs, ref_obs,
                     "observations diverged (seed {seed}, p={parallelism}, q={queues})"
@@ -474,12 +471,12 @@ fn faulting_graphs_keep_fault_logs_bit_identical() {
     for seed in 100..104u64 {
         let mut rng = XorShift::new(seed);
         let graph = random_graph(&mut rng, 20, 4, true);
-        let (ref_obs, ref_bufs) = run_graph(&graph, 1, 4, 1, Reap::InOrder, &[]);
+        let (ref_obs, ref_bufs) = run_graph(&graph, 1, 4, 1, Reap::InOrder);
         // The generator with `faults` emits OOB scales and Sneaky
         // launches; make sure at least one seed actually faults so this
         // test keeps meaning something if the generator changes.
         for parallelism in [1, 8, 0] {
-            let (obs, bufs) = run_graph(&graph, parallelism, 4, 2, Reap::Blocking, &[]);
+            let (obs, bufs) = run_graph(&graph, parallelism, 4, 2, Reap::Blocking);
             assert_eq!(obs, ref_obs, "seed {seed}, p={parallelism}");
             assert_eq!(bufs, ref_bufs, "seed {seed}, p={parallelism}");
         }
@@ -496,10 +493,10 @@ fn poll_and_callback_completion_match_blocking_waits() {
     for (seed, faults) in [(11u64, false), (12, false), (102, true), (103, true)] {
         let mut rng = XorShift::new(seed);
         let graph = random_graph(&mut rng, 24, 5, faults);
-        let (ref_obs, ref_bufs) = run_graph(&graph, 1, 5, 1, Reap::InOrder, &[]);
+        let (ref_obs, ref_bufs) = run_graph(&graph, 1, 5, 1, Reap::InOrder);
         for parallelism in [1, 2, 8] {
             for reap in [Reap::Blocking, Reap::Polling, Reap::Callbacks] {
-                let (obs, bufs) = run_graph(&graph, parallelism, 5, 2, reap, &[]);
+                let (obs, bufs) = run_graph(&graph, parallelism, 5, 2, reap);
                 assert_eq!(
                     obs, ref_obs,
                     "observations diverged (seed {seed}, p={parallelism}, {reap:?})"
@@ -517,7 +514,7 @@ fn poll_and_callback_completion_match_blocking_waits() {
 fn generator_emits_faulting_commands() {
     let mut rng = XorShift::new(101);
     let graph = random_graph(&mut rng, 20, 4, true);
-    let (obs, _) = run_graph(&graph, 1, 4, 1, Reap::InOrder, &[]);
+    let (obs, _) = run_graph(&graph, 1, 4, 1, Reap::InOrder);
     assert!(
         obs.iter()
             .any(|o| matches!(o, Observed::Launch(Err(SimError::KernelFaults { .. })))),
@@ -603,6 +600,41 @@ fn two_queues_overlap_bitwise_matches_serialized() {
         )
     };
     assert_eq!(run(true), run(false));
+}
+
+/// Two independent launches on two queues of a 2-worker device run at
+/// the same time: each is one work item of a two-party rendezvous, which
+/// only completes if both items are executing at once.
+#[test]
+fn two_queued_launches_run_concurrently_on_two_workers() {
+    let mut dev = device(2);
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let queues = [dev.create_queue(), dev.create_queue()];
+    let mut launches = Vec::new();
+    for (k, q) in queues.iter().enumerate() {
+        let out = dev.create_buffer::<f32>(&format!("out{k}"), 1).unwrap();
+        let kernel = Rendezvous {
+            out,
+            arrived: Arc::clone(&arrived),
+            parties: 2,
+        };
+        let ev = q
+            .enqueue_launch(kernel, NdRange::new_1d(1, 1).unwrap(), &[])
+            .unwrap();
+        launches.push((ev, out));
+    }
+    let outs: Vec<f32> = launches
+        .iter()
+        .map(|(ev, out)| {
+            ev.wait().unwrap();
+            dev.read_buffer::<f32>(*out).unwrap()[0]
+        })
+        .collect();
+    assert_eq!(
+        outs,
+        [1.0, 1.0],
+        "the two launches did not overlap (0.0 = rendezvous timed out)"
+    );
 }
 
 #[test]
@@ -927,12 +959,11 @@ fn host_commands_execute_eagerly_without_any_wait() {
     assert_eq!(read.wait_read::<f32>().unwrap(), vec![7.0; BUF_LEN]);
 }
 
-/// With one pool worker, simultaneously ready commands must start in the
-/// deterministic ready-list order: descending queue priority, then
-/// enqueue sequence. A gated blocker holds the worker so all four
-/// commands are released at one instant.
+/// With one pool worker, simultaneously ready commands must start in
+/// enqueue order. A gated blocker holds the worker so all four commands
+/// are released at one instant.
 #[test]
-fn priorities_order_simultaneously_ready_commands() {
+fn simultaneously_ready_commands_start_in_enqueue_order() {
     let mut dev = device(1);
     let gbuf = dev.create_buffer::<f32>("g", 1).unwrap();
     let gate = Arc::new(AtomicBool::new(false));
@@ -948,20 +979,15 @@ fn priorities_order_simultaneously_ready_commands() {
             &[],
         )
         .unwrap();
-    // (priority, expected start position): equal priorities fall back to
-    // enqueue order.
-    let prios: [u8; 4] = [0, 200, 50, 200];
     let range = NdRange::new_1d(BUF_LEN, 16).unwrap();
     let mut events = Vec::new();
     let mut queues = Vec::new(); // keep queues alive until their commands ran
-    for (k, &prio) in prios.iter().enumerate() {
+    for k in 0..4 {
         let src = dev
             .create_buffer_from(&format!("s{k}"), &[k as f32 + 1.0; BUF_LEN])
             .unwrap();
         let dst = dev.create_buffer::<f32>(&format!("d{k}"), BUF_LEN).unwrap();
         let q = dev.create_queue();
-        q.set_priority(prio).unwrap();
-        assert_eq!(q.priority().unwrap(), prio);
         let ev = q
             .enqueue_launch(
                 Scale {
@@ -985,49 +1011,18 @@ fn priorities_order_simultaneously_ready_commands() {
             vec![input * 2.0; BUF_LEN]
         );
     }
-    // Expected start order: prio 200 (enqueue #1), prio 200 (enqueue #3),
-    // prio 50 (#2), prio 0 (#0).
-    let expected = [1usize, 3, 2, 0];
     let starts: Vec<_> = events
         .iter()
         .map(|(ev, _, _)| ev.timing().unwrap().started)
         .collect();
-    for pair in expected.windows(2) {
+    for k in 1..starts.len() {
         assert!(
-            starts[pair[0]] <= starts[pair[1]],
-            "ready-list order violated: command {} (prio {}) started at {:?}, \
-             command {} (prio {}) at {:?}",
-            pair[0],
-            prios[pair[0]],
-            starts[pair[0]],
-            pair[1],
-            prios[pair[1]],
-            starts[pair[1]]
+            starts[k - 1] <= starts[k],
+            "enqueue order violated: command {} started at {:?}, command {k} at {:?}",
+            k - 1,
+            starts[k - 1],
+            starts[k]
         );
-    }
-}
-
-/// Priorities steer the schedule, never the results: seeded random graphs
-/// with random per-queue priorities stay bit-identical to the in-order
-/// replay at every worker count.
-#[test]
-fn random_graphs_with_priorities_match_in_order_replay() {
-    for seed in 200..204u64 {
-        let mut rng = XorShift::new(seed);
-        let graph = random_graph(&mut rng, 24, 5, false);
-        let prios: Vec<u8> = (0..3).map(|_| (rng.next() % 256) as u8).collect();
-        let (ref_obs, ref_bufs) = run_graph(&graph, 1, 5, 1, Reap::InOrder, &[]);
-        for parallelism in [1, 2, 8, 0] {
-            let (obs, bufs) = run_graph(&graph, parallelism, 5, 3, Reap::Blocking, &prios);
-            assert_eq!(
-                obs, ref_obs,
-                "observations diverged (seed {seed}, p={parallelism}, prios {prios:?})"
-            );
-            assert_eq!(
-                bufs, ref_bufs,
-                "buffers diverged (seed {seed}, p={parallelism}, prios {prios:?})"
-            );
-        }
     }
 }
 
@@ -1139,133 +1134,14 @@ fn lowered_parallelism_serializes_launches_despite_wide_pool() {
     }
 }
 
-/// Starvation: a priority-0 command must still complete while a stream
-/// of priority-255 enqueues keeps arriving. The scheduler is strict
-/// priority with FIFO tie-break and no aging, so eventual completion
-/// relies on the gaps a real submit→wait→submit stream always has: the
-/// moment a high-priority launch retires and before the host has
-/// enqueued the next one, the low-priority command is the only ready
-/// launch and the worker must take it. The loop is capped, and the
-/// assertion demands completion *while the stream is still arriving* —
-/// a scheduler that only ran the low-priority command after the stream
-/// dried up would trip the cap.
-#[test]
-fn low_priority_command_completes_under_sustained_high_priority_stream() {
-    const STREAM_CAP: usize = 200;
-    let mut dev = device(1);
-    let range = NdRange::new_1d(BUF_LEN, 16).unwrap();
-    let gate = Arc::new(AtomicBool::new(false));
-    let _open = OpenOnDrop(Arc::clone(&gate));
-    let gbuf = dev.create_buffer::<f32>("g", 1).unwrap();
-    let q_gate = dev.create_queue();
-    let blocker = q_gate
-        .enqueue_launch(
-            Gated {
-                buf: gbuf,
-                gate: Arc::clone(&gate),
-            },
-            NdRange::new_1d(1, 1).unwrap(),
-            &[],
-        )
-        .unwrap();
-
-    let q_low = dev.create_queue();
-    q_low.set_priority(0).unwrap();
-    let q_high = dev.create_queue();
-    q_high.set_priority(255).unwrap();
-
-    let low_src = dev.create_buffer_from("ls", &[3.0f32; BUF_LEN]).unwrap();
-    let low_dst = dev.create_buffer::<f32>("ld", BUF_LEN).unwrap();
-    let low = q_low
-        .enqueue_launch(
-            Scale {
-                src: low_src,
-                dst: low_dst,
-                factor: 2.0,
-                oob: false,
-            },
-            range,
-            std::slice::from_ref(&blocker),
-        )
-        .unwrap();
-
-    // An initial burst is already pending when the gate opens: those
-    // commands are simultaneously ready with the low-priority one and
-    // must all start before it (checked below) — the pressure is real.
-    let high_src = dev.create_buffer_from("hs", &[1.0f32; BUF_LEN]).unwrap();
-    let high_dst = dev.create_buffer::<f32>("hd", BUF_LEN).unwrap();
-    let burst: Vec<Event> = (0..4)
-        .map(|_| {
-            q_high
-                .enqueue_launch(
-                    Scale {
-                        src: high_src,
-                        dst: high_dst,
-                        factor: 1.0,
-                        oob: false,
-                    },
-                    range,
-                    std::slice::from_ref(&blocker),
-                )
-                .unwrap()
-        })
-        .collect();
-
-    gate.store(true, Ordering::Release);
-
-    // Sustained closed-loop stream: submit a high-priority launch, wait
-    // for it, submit the next — the pattern a latency-sensitive client
-    // actually runs. Stop as soon as the low-priority command got
-    // through (or at the cap, which fails the test below).
-    let mut streamed = 0usize;
-    while !low.is_complete().unwrap() && streamed < STREAM_CAP {
-        q_high
-            .enqueue_launch(
-                Scale {
-                    src: high_src,
-                    dst: high_dst,
-                    factor: 1.0,
-                    oob: false,
-                },
-                range,
-                &[],
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        streamed += 1;
-    }
-    assert!(
-        streamed < STREAM_CAP,
-        "low-priority command starved: still pending after {STREAM_CAP} \
-         high-priority submissions completed around it"
-    );
-    low.wait().unwrap();
-    assert_eq!(dev.read_buffer::<f32>(low_dst).unwrap(), vec![6.0; BUF_LEN]);
-
-    // The initial burst was simultaneously ready with the low-priority
-    // command, so strict priority ordering must have started every one
-    // of its commands first.
-    let low_start = low.timing().unwrap().started;
-    for (k, ev) in burst.iter().enumerate() {
-        ev.wait().unwrap();
-        assert!(
-            ev.timing().unwrap().started <= low_start,
-            "burst command {k} (priority 255) started after the \
-             priority-0 command"
-        );
-    }
-}
-
 #[test]
 fn serve_loop_low_priority_requests_complete_within_bounded_completions() {
-    // Scales the starvation check above to the serving pattern: a
-    // latency-sensitive high-priority client runs closed-loop through a
-    // CompletionQueue (next launch submitted only after the previous
-    // completion drains) while low-priority requests are admitted
-    // alongside it. Strict priorities steer the pool's pick order but
-    // must not starve: every admitted low-priority request completes
-    // within a bounded number of drained completions.
+    // The serving pattern: a latency-sensitive client runs closed-loop
+    // through a CompletionQueue (next launch submitted only after the
+    // previous completion drains) while low-priority requests are
+    // admitted alongside it on a second queue. The busy client must not
+    // starve them: every admitted low-priority request completes within
+    // a bounded number of drained completions.
     const LOW_REQUESTS: usize = 6;
     const BOUND: usize = 400;
     const HIGH: u64 = u64::MAX; // completion token of every high launch
@@ -1273,9 +1149,7 @@ fn serve_loop_low_priority_requests_complete_within_bounded_completions() {
     let range = NdRange::new_1d(BUF_LEN, 16).unwrap();
 
     let q_low = dev.create_queue();
-    q_low.set_priority(0).unwrap();
     let q_high = dev.create_queue();
-    q_high.set_priority(255).unwrap();
 
     let high_src = dev.create_buffer_from("hs", &[1.0f32; BUF_LEN]).unwrap();
     let high_dst = dev.create_buffer::<f32>("hd", BUF_LEN).unwrap();

@@ -3,8 +3,9 @@
 //! Re-exports no-op `Serialize` / `Deserialize` derive macros and defines
 //! empty marker traits of the same names, so `use serde::{Deserialize,
 //! Serialize}` plus `#[derive(Serialize, Deserialize)]` compile unchanged.
-//! No serialization machinery exists; the workspace writes its one
-//! machine-readable artifact (`BENCH_simulator.json`) by hand.
+//! No serialization machinery exists; the workspace writes its
+//! machine-readable artifacts (the `repro` CSV files and the tuning
+//! store) by hand.
 
 pub use serde_derive::{Deserialize, Serialize};
 
