@@ -29,10 +29,10 @@ use crate::buffer::{BufferId, ElemKind, RawBuffer, Scalar};
 use crate::config::DeviceConfig;
 use crate::engine::{self, resolve_parallelism, BufTable, LaunchPlan, LaunchSetup, PlanCache};
 use crate::error::SimError;
-use crate::kernel::Kernel;
+use crate::kernel::{AccessMask, Kernel};
 use crate::local::LocalSpec;
 use crate::ndrange::NdRange;
-use crate::queue::{drain_all, Queue, Sched};
+use crate::queue::{drain_all, Access, Queue, Sched};
 use crate::stats::LaunchReport;
 use crate::timing;
 
@@ -78,17 +78,42 @@ pub(crate) struct DeviceState {
     pub(crate) bridges: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Validates a launch against device limits and captures its immutable
-/// setup (plan, occupancy, local specs). Shared by the blocking shims and
-/// [`crate::Queue::enqueue_launch`], so a queued launch fails at enqueue
-/// time with exactly the error its blocking twin would return.
-pub(crate) fn prepare_launch(
+/// Validates a launch against device limits, resolves the kernel's
+/// declared [`Kernel::buffer_usage`] to buffer slots and captures the
+/// immutable setup (plan, occupancy, local specs, access mask). Every
+/// launch path goes through here — the blocking shims, the serial
+/// reference, the group launches and [`crate::Queue::enqueue_launch`] —
+/// so each fails with the same error and enforces the same declaration.
+/// The resolved [`Access`] is the queue's hazard-inference input.
+pub(crate) fn prepare_launch<K: Kernel + ?Sized>(
     st: &mut DeviceState,
-    name: &str,
-    phases: usize,
-    local_specs: Vec<LocalSpec>,
+    kernel: &K,
     range: NdRange,
-) -> Result<(Arc<LaunchPlan>, LaunchSetup), SimError> {
+) -> Result<(Arc<LaunchPlan>, LaunchSetup, Access), SimError> {
+    let access = match kernel.buffer_usage() {
+        None => Access::All,
+        Some(u) => {
+            let resolve = |ids: &[BufferId]| -> Result<Vec<usize>, SimError> {
+                let mut slots = Vec::with_capacity(ids.len());
+                for &id in ids {
+                    if st.bufs.get(id.index()).and_then(Option::as_ref).is_none() {
+                        return Err(SimError::UnknownBuffer(id));
+                    }
+                    slots.push(id.index());
+                }
+                Ok(slots)
+            };
+            Access::Declared {
+                reads: resolve(&u.reads)?,
+                writes: resolve(&u.writes)?,
+            }
+        }
+    };
+    let mask = match &access {
+        Access::All => None,
+        Access::Declared { reads, writes } => Some(AccessMask::new(st.bufs.len(), reads, writes)),
+    };
+    let (name, phases, local_specs) = (kernel.name(), kernel.phases(), kernel.local_buffers());
     let local_bytes = local_specs.iter().map(LocalSpec::bytes).sum();
     if range.group_size_total() > st.cfg.max_work_group_size {
         return Err(SimError::Launch(format!(
@@ -116,7 +141,9 @@ pub(crate) fn prepare_launch(
             local_specs,
             phases,
             occ,
+            mask,
         },
+        access,
     ))
 }
 
@@ -515,13 +542,7 @@ impl Device {
         range: NdRange,
     ) -> Result<(Arc<LaunchPlan>, LaunchSetup, BufTable, bool), SimError> {
         let mut st = self.state();
-        let (plan, setup) = prepare_launch(
-            &mut st,
-            kernel.name(),
-            kernel.phases(),
-            kernel.local_buffers(),
-            range,
-        )?;
+        let (plan, setup, _) = prepare_launch(&mut st, kernel, range)?;
         let snapshot = st.bufs.clone();
         let profiling = st.profiling;
         Ok((plan, setup, snapshot, profiling))
@@ -546,11 +567,11 @@ impl Device {
     /// group running against a read-only snapshot of global memory with
     /// its stores logged and applied in row-major group order afterwards.
     /// Results — buffers, statistics, timing, faults — are bit-identical
-    /// for every thread count, provided groups are independent within one
-    /// launch (no group reads what another group wrote during the same
-    /// launch; OpenCL makes the same demand of real kernels). With one
-    /// worker the engine degenerates to [`Device::launch_serial`]
-    /// semantics exactly.
+    /// for every thread count, one included: no group sees what another
+    /// group wrote during the same launch (OpenCL makes no promise about
+    /// such reads either). A kernel that declares
+    /// [`Kernel::buffer_usage`] faults on any access outside it, exactly
+    /// like its queued twin.
     ///
     /// With profiling enabled the report carries full transaction / bank /
     /// timing accounting.
@@ -565,41 +586,13 @@ impl Device {
         kernel: &K,
         range: NdRange,
     ) -> Result<LaunchReport, SimError> {
-        self.finish();
-        let (plan, setup, mut snapshot, profiling) = self.prepare_blocking(kernel, range)?;
-        let workers = resolve_parallelism(self.cfg.parallelism).min(plan.group_coords.len());
-        let (outcomes, entries) = if workers <= 1 {
-            engine::execute_groups_serial(
-                kernel,
-                &self.cfg,
-                &plan,
-                &setup,
-                &mut snapshot,
-                profiling,
-                None,
-            )
-        } else {
-            engine::execute_groups_span(
-                kernel,
-                &self.cfg,
-                &plan,
-                &setup,
-                &snapshot,
-                profiling,
-                workers,
-                None,
-                0,
-                plan.group_coords.len(),
-            )
-        };
-        // Drop the snapshot before applying so unshared buffers are
-        // written in place rather than copy-on-write.
-        drop(snapshot);
+        let groups = range.num_groups_total();
+        let (setup, outcomes, entries) = self.launch_span(kernel, range, 0, groups)?;
         self.apply_blocking(&entries);
         engine::reduce_outcomes(
             kernel.name(),
             &self.cfg,
-            profiling,
+            self.profiling,
             &range,
             &setup,
             outcomes,
@@ -608,13 +601,15 @@ impl Device {
 
     /// Executes the row-major span `lo..hi` of a launch's work groups and
     /// returns the *unreduced* per-group outcomes plus their concatenated
-    /// write entries — the member-device primitive behind
-    /// [`crate::DeviceGroup::launch_sharded`]. Nothing is applied to this
-    /// device's buffers: the group concatenates every member's spans in
-    /// device order (restoring full row-major order), applies the writes
-    /// on the gather device and reduces the outcomes exactly once, so a
-    /// sharded launch's report and fault log are bit-identical to a
-    /// single-device run.
+    /// write entries. [`Device::launch`] runs the whole span through it;
+    /// [`crate::DeviceGroup::launch_sharded`] runs one span per member.
+    /// Nothing is applied to this device's buffers: the group concatenates
+    /// every member's spans in device order (restoring full row-major
+    /// order), applies the writes on the gather device and reduces the
+    /// outcomes exactly once, so a sharded launch's report and fault log
+    /// are bit-identical to a single-device run. The buffer snapshot is
+    /// dropped on return, so the caller's writes land in place rather than
+    /// copy-on-write.
     pub(crate) fn launch_span<K: Kernel + Sync + ?Sized>(
         &mut self,
         kernel: &K,
@@ -635,7 +630,7 @@ impl Device {
             .min(hi.saturating_sub(lo))
             .max(1);
         let (outcomes, entries) = engine::execute_groups_span(
-            kernel, &self.cfg, &plan, &setup, &snapshot, profiling, workers, None, lo, hi,
+            kernel, &self.cfg, &plan, &setup, &snapshot, profiling, workers, lo, hi,
         );
         Ok((setup, outcomes, entries))
     }
@@ -708,7 +703,6 @@ impl Device {
             &setup,
             &mut snapshot,
             profiling,
-            None,
         );
         drop(snapshot);
         self.apply_blocking(&entries);

@@ -429,13 +429,16 @@ fn run_phase_waves<K: Kernel + ?Sized>(
 }
 
 /// Validated, precomputed launch parameters shared by every launch
-/// frontend: the blocking shims, the serial reference and the queue
-/// scheduler.
-#[derive(Debug)]
+/// frontend: the blocking shims, the serial reference, the group
+/// launches and the queue scheduler.
+#[derive(Debug, Clone)]
 pub(crate) struct LaunchSetup {
     pub local_specs: Vec<LocalSpec>,
     pub phases: usize,
     pub occ: Occupancy,
+    /// The mask compiled from the kernel's declared
+    /// [`crate::Kernel::buffer_usage`]; `None` when it declares nothing.
+    pub mask: Option<AccessMask>,
 }
 
 /// Runs every group of a launch one at a time on the calling thread,
@@ -444,7 +447,8 @@ pub(crate) struct LaunchSetup {
 /// even (non-deterministic on real hardware) cross-group dependencies
 /// observe the row-major order. Returns the per-group outcomes plus the
 /// concatenated write entries, ready to replay onto the device's backing
-/// buffers.
+/// buffers. Only [`crate::Device::launch_serial`], the reference, runs
+/// it; every other launch path runs [`execute_groups_span`].
 pub(crate) fn execute_groups_serial<K: Kernel + ?Sized>(
     kernel: &K,
     cfg: &DeviceConfig,
@@ -452,7 +456,6 @@ pub(crate) fn execute_groups_serial<K: Kernel + ?Sized>(
     setup: &LaunchSetup,
     snapshot: &mut BufTable,
     profiling: bool,
-    mask: Option<&AccessMask>,
 ) -> (Vec<GroupOutcome>, Vec<WriteEntry>) {
     let mut scratch = WorkerScratch::new(&setup.local_specs, setup.occ.waves_per_group, profiling);
     let mut outcomes = Vec::with_capacity(plan.group_coords.len());
@@ -464,7 +467,7 @@ pub(crate) fn execute_groups_serial<K: Kernel + ?Sized>(
             cfg,
             plan,
             snapshot,
-            mask,
+            setup.mask.as_ref(),
             group,
             &mut scratch,
         );
@@ -477,12 +480,15 @@ pub(crate) fn execute_groups_serial<K: Kernel + ?Sized>(
 }
 
 /// Runs the row-major span `lo..hi` of a launch's groups, sharded over
-/// `workers` scoped threads against the read-only `snapshot`. This is the
-/// primitive a [`crate::DeviceGroup`] shards one launch across member
-/// devices with: each member executes a contiguous span, and concatenating
-/// the spans in device order restores full row-major group order —
-/// bit-identical to one device running the whole span `0..n`, because
-/// per-group execution never observes which span (or device) it ran in.
+/// `workers` scoped threads against the read-only `snapshot`; a span
+/// that fits one shard runs on the calling thread. Every group sees the
+/// launch-entry snapshot whatever the worker count, so the result never
+/// depends on it. This is also the primitive a [`crate::DeviceGroup`]
+/// shards one launch across member devices with: each member executes a
+/// contiguous span, and concatenating the spans in device order restores
+/// full row-major group order — bit-identical to one device running the
+/// whole span `0..n`, because per-group execution never observes which
+/// span (or device) it ran in.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_groups_span<K: Kernel + Sync + ?Sized>(
     kernel: &K,
@@ -492,7 +498,6 @@ pub(crate) fn execute_groups_span<K: Kernel + Sync + ?Sized>(
     snapshot: &BufTable,
     profiling: bool,
     workers: usize,
-    mask: Option<&AccessMask>,
     lo: usize,
     hi: usize,
 ) -> (Vec<GroupOutcome>, Vec<WriteEntry>) {
@@ -500,38 +505,39 @@ pub(crate) fn execute_groups_span<K: Kernel + Sync + ?Sized>(
     // Contiguous shards keep the group -> worker assignment, and thus
     // every worker-local accumulation, independent of scheduling.
     let chunk = groups.len().div_ceil(workers.max(1)).max(1);
-    let phases = setup.phases;
-    let sharded: Vec<Vec<GroupOutcome>> = std::thread::scope(|s| {
-        let handles: Vec<_> = groups
-            .chunks(chunk)
-            .map(|shard| {
-                let local_specs = &setup.local_specs;
-                s.spawn(move || {
-                    let mut scratch =
-                        WorkerScratch::new(local_specs, setup.occ.waves_per_group, profiling);
-                    shard
-                        .iter()
-                        .map(|&group| {
-                            run_group(
-                                kernel,
-                                phases,
-                                cfg,
-                                plan,
-                                snapshot,
-                                mask,
-                                group,
-                                &mut scratch,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
+    let run_shard = |shard: &[[usize; 3]]| {
+        let mut scratch =
+            WorkerScratch::new(&setup.local_specs, setup.occ.waves_per_group, profiling);
+        shard
+            .iter()
+            .map(|&group| {
+                run_group(
+                    kernel,
+                    setup.phases,
+                    cfg,
+                    plan,
+                    snapshot,
+                    setup.mask.as_ref(),
+                    group,
+                    &mut scratch,
+                )
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("launch worker panicked"))
-            .collect()
-    });
+            .collect::<Vec<_>>()
+    };
+    let sharded: Vec<Vec<GroupOutcome>> = if groups.len() <= chunk {
+        vec![run_shard(groups)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = groups
+                .chunks(chunk)
+                .map(|shard| s.spawn(move || run_shard(shard)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("launch worker panicked"))
+                .collect()
+        })
+    };
     let mut outcomes = Vec::with_capacity(groups.len());
     let mut entries = Vec::new();
     for mut outcome in sharded.into_iter().flatten() {

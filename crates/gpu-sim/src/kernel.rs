@@ -77,14 +77,13 @@ pub trait Kernel {
     /// ordered after *every* earlier command and before every later one,
     /// which is always correct but never overlaps. Kernels that declare
     /// their usage can overlap with commands touching disjoint buffers;
-    /// in exchange, the declaration is **enforced** — a queued launch that
-    /// accesses an undeclared buffer faults deterministically
+    /// in exchange, the declaration is **enforced** on every launch path
+    /// — queued, blocking, serial, sharded and placed — so an access to
+    /// an undeclared buffer faults deterministically
     /// ([`FaultKind::UndeclaredBuffer`]) instead of reading
-    /// schedule-dependent data. Reading a buffer that is only in the write
-    /// set is allowed (its pre-launch contents are hazard-ordered too).
-    ///
-    /// Blocking launches ([`crate::Device::launch`]) ignore the
-    /// declaration entirely.
+    /// schedule-dependent data or a stale copy on another group member.
+    /// Reading a buffer that is only in the write set is allowed (its
+    /// pre-launch contents are hazard-ordered too).
     fn buffer_usage(&self) -> Option<crate::queue::BufferUse> {
         None
     }
@@ -157,8 +156,10 @@ impl<K: Kernel + ?Sized> Kernel for std::sync::Arc<K> {
 
 /// Per-launch access-control mask compiled from a kernel's declared
 /// [`Kernel::buffer_usage`]: which buffer slots the launch may read and
-/// write. Enforced on queued launches only — it is what lets the scheduler
-/// prove that overlapping two launches cannot change their results.
+/// write. Enforced on every launch path — it is what lets the scheduler
+/// prove that overlapping two launches cannot change their results, and
+/// a device group prove that migrating only the declared buffers is
+/// enough.
 #[derive(Debug, Clone)]
 pub(crate) struct AccessMask {
     read_ok: Vec<bool>,

@@ -49,8 +49,9 @@
 //! time, writes applied before the next group starts. It is the
 //! differential-testing reference (`tests/parallel_determinism.rs` asserts
 //! bit-equality against it at several thread counts) and the fallback for
-//! kernels that are not [`Sync`]. Setting `parallelism = 1` makes
-//! [`Device::launch`] degenerate to the same semantics.
+//! kernels that are not [`Sync`]. [`Device::launch`] runs the snapshot
+//! engine at every `parallelism`, one worker included, so its results
+//! never depend on the worker count.
 //!
 //! Launch geometry (group/item coordinate lists, wavefront and coalescing
 //! granule assignments) is precomputed once per [`NdRange`] and cached on

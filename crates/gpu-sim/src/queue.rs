@@ -49,14 +49,15 @@
 //! have produced. Buffers outside a launch's declared
 //! [`crate::Kernel::buffer_usage`] are unreachable — the engine faults
 //! such accesses deterministically instead of returning
-//! schedule-dependent data. Kernels that do not declare usage are treated
-//! as touching everything and simply never overlap. Within one launch the
-//! engine's snapshot/write-log discipline applies unchanged, and write
-//! logs are replayed in row-major group order, so a queued launch is
-//! bit-identical to [`crate::Device::launch`] of the same kernel. None of
-//! this depends on *when* a ready command starts, which is why the eager
-//! pool preserves bit-identical results, reports and fault logs at every
-//! worker count.
+//! schedule-dependent data, on this path and every blocking one. Kernels
+//! that do not declare usage are treated as touching everything and
+//! simply never overlap. Within one launch the engine's
+//! snapshot/write-log discipline applies unchanged at every worker count,
+//! one included, and write logs are replayed in row-major group order,
+//! so a queued launch is bit-identical to [`crate::Device::launch`] of
+//! the same kernel. None of this depends on *when* a ready command
+//! starts, which is why the eager pool preserves bit-identical results,
+//! reports and fault logs at every worker count.
 //!
 //! Multiple queues on one device share a single command stream (one global
 //! enqueue order); queues are grouping/lifetime scopes, not ordering
@@ -85,7 +86,7 @@ use crate::engine::{
 };
 use crate::error::SimError;
 use crate::event::{Event, EventTiming};
-use crate::kernel::{AccessMask, Kernel};
+use crate::kernel::Kernel;
 use crate::ndrange::NdRange;
 use crate::stats::LaunchReport;
 
@@ -109,11 +110,11 @@ impl BufferUse {
     }
 }
 
-/// Resolved per-command access sets, in buffer-slot space. `None` means
+/// Resolved per-command access sets, in buffer-slot space. `All` means
 /// "may touch anything" (undeclared usage): such a command serializes
 /// against every other command.
 #[derive(Debug, Clone)]
-enum Access {
+pub(crate) enum Access {
     All,
     Declared {
         reads: Vec<usize>,
@@ -580,32 +581,7 @@ impl Queue {
         let shared = self.upgrade()?;
         let (explicit, foreign) = self.check_wait_list(wait);
         let mut st = shared.state.lock().expect("device state poisoned");
-        let access = match kernel.buffer_usage() {
-            None => Access::All,
-            Some(u) => {
-                let resolve = |ids: &[BufferId]| -> Result<Vec<usize>, SimError> {
-                    let mut slots = Vec::with_capacity(ids.len());
-                    for &id in ids {
-                        if st.bufs.get(id.index()).and_then(Option::as_ref).is_none() {
-                            return Err(SimError::UnknownBuffer(id));
-                        }
-                        slots.push(id.index());
-                    }
-                    Ok(slots)
-                };
-                Access::Declared {
-                    reads: resolve(&u.reads)?,
-                    writes: resolve(&u.writes)?,
-                }
-            }
-        };
-        let (plan, setup) = crate::device::prepare_launch(
-            &mut st,
-            kernel.name(),
-            kernel.phases(),
-            kernel.local_buffers(),
-            range,
-        )?;
+        let (plan, setup, access) = crate::device::prepare_launch(&mut st, &kernel, range)?;
         let seq = self.insert_command(
             &shared,
             &mut st,
@@ -882,7 +858,6 @@ struct LaunchRun {
     plan: Arc<LaunchPlan>,
     setup: LaunchSetup,
     snapshot: BufTable,
-    mask: Option<AccessMask>,
     cfg: DeviceConfig,
     profiling: bool,
     workers: usize,
@@ -1004,8 +979,8 @@ pub(crate) fn wait_seq(shared: &Arc<DeviceShared>, seq: u64) {
 }
 
 /// Marks a ready launch as running and captures everything its execution
-/// needs: kernel handle, plan, a snapshot of the buffer table, and the
-/// access mask compiled from its declared usage.
+/// needs: kernel handle, plan, setup (with the access mask compiled from
+/// its declared usage) and a snapshot of the buffer table.
 fn prepare_launch_run(
     shared: &Arc<DeviceShared>,
     st: &mut MutexGuard<'_, DeviceState>,
@@ -1014,10 +989,6 @@ fn prepare_launch_run(
 ) -> LaunchRun {
     st.sched.running.insert(seq);
     let cmd = st.sched.pending.get(&seq).expect("picked from pending");
-    let mask = match &cmd.access {
-        Access::All => None,
-        Access::Declared { reads, writes } => Some(AccessMask::new(st.bufs.len(), reads, writes)),
-    };
     let CommandKind::Launch {
         kernel,
         range,
@@ -1032,13 +1003,8 @@ fn prepare_launch_run(
         kernel: Arc::clone(kernel),
         range: *range,
         plan: Arc::clone(plan),
-        setup: LaunchSetup {
-            local_specs: setup.local_specs.clone(),
-            phases: setup.phases,
-            occ: setup.occ,
-        },
+        setup: setup.clone(),
         snapshot: st.bufs.clone(),
-        mask: mask.clone(),
         cfg: st.cfg.clone(),
         profiling: cmd.profiling,
         workers: workers.min(plan.group_coords.len()).max(1),
@@ -1057,31 +1023,17 @@ fn prepare_launch_run(
 fn execute_launch(shared: &Arc<DeviceShared>, run: LaunchRun) {
     let (seq, queued_at, started) = (run.seq, run.queued_at, run.started);
     let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut run = run;
-        let (outcomes, entries) = if run.workers <= 1 {
-            engine::execute_groups_serial(
-                &*run.kernel,
-                &run.cfg,
-                &run.plan,
-                &run.setup,
-                &mut run.snapshot,
-                run.profiling,
-                run.mask.as_ref(),
-            )
-        } else {
-            execute_groups_span(
-                &*run.kernel,
-                &run.cfg,
-                &run.plan,
-                &run.setup,
-                &run.snapshot,
-                run.profiling,
-                run.workers,
-                run.mask.as_ref(),
-                0,
-                run.plan.group_coords.len(),
-            )
-        };
+        let (outcomes, entries) = execute_groups_span(
+            &*run.kernel,
+            &run.cfg,
+            &run.plan,
+            &run.setup,
+            &run.snapshot,
+            run.profiling,
+            run.workers,
+            0,
+            run.plan.group_coords.len(),
+        );
         let result = engine::reduce_outcomes(
             run.kernel.name(),
             &run.cfg,

@@ -8,8 +8,8 @@
 //! reference at 1/2/4 members, seeded random command graphs replayed on a
 //! 1-member group, migration counters across device-local reuse, the
 //! enqueued serve loop (place → prefetch → enqueue → watch → drain)
-//! against a `launch_serial` reference, and placement around a busy
-//! member.
+//! against a `launch_serial` reference, placement around a busy member,
+//! and the same declared-usage faults on every launch path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -532,4 +532,83 @@ fn place_rotates_on_ties_and_skips_a_busy_member() {
     }
     gate.store(true, Ordering::Release);
     held.wait().unwrap();
+}
+
+/// Declares reads `[src]` and writes `[dst]` but also reads `extra`:
+/// `dst[i] = src[i] + extra[i]`.
+struct ReadsUndeclared {
+    src: BufferId,
+    dst: BufferId,
+    extra: BufferId,
+}
+
+impl Kernel for ReadsUndeclared {
+    fn name(&self) -> &str {
+        "reads_undeclared"
+    }
+
+    fn buffer_usage(&self) -> Option<BufferUse> {
+        Some(BufferUse::new([self.src], [self.dst]))
+    }
+
+    fn run_phase(&self, _phase: usize, ctx: &mut ItemCtx<'_>) {
+        let i = ctx.global_id(0);
+        let a: f32 = ctx.read_global(self.src, i);
+        let b: f32 = ctx.read_global(self.extra, i);
+        ctx.write_global(self.dst, i, a + b);
+    }
+}
+
+/// Every launch path enforces the declared usage. Without that, a sharded
+/// or placed launch would read a stale copy of the undeclared buffer on a
+/// member the group never migrated it to (the host rewrote it on member
+/// 0), and a blocking launch would read the fresh one — three different
+/// answers for one kernel.
+#[test]
+fn undeclared_reads_fault_identically_on_every_launch_path() {
+    const N: usize = 8;
+    let range = NdRange::new_1d(N, 4).unwrap();
+    let cfg = DeviceConfig::test_tiny();
+
+    let mut dev = Device::new(cfg.clone()).unwrap();
+    let src = dev.create_buffer_from("src", &[1.0f32; N]).unwrap();
+    let dst = dev.create_buffer::<f32>("dst", N).unwrap();
+    let extra = dev.create_buffer::<f32>("extra", N).unwrap();
+    dev.write_buffer(extra, &[100.0f32; N]).unwrap();
+    let kernel = ReadsUndeclared { src, dst, extra };
+    let reference = dev.launch(&kernel, range);
+    let ref_bits = bits(&dev.read_buffer::<f32>(dst).unwrap());
+    match &reference {
+        Err(SimError::KernelFaults { total, .. }) => assert_eq!(*total, N),
+        other => panic!("undeclared reads must fault, got {other:?}"),
+    }
+
+    dev.write_buffer(dst, &[0.0f32; N]).unwrap();
+    let result = dev
+        .create_queue()
+        .enqueue_launch(ReadsUndeclared { src, dst, extra }, range, &[])
+        .unwrap()
+        .wait_report();
+    assert_same_outcome(&reference, &result, "queued");
+    assert_eq!(bits(&dev.read_buffer::<f32>(dst).unwrap()), ref_bits);
+
+    type Launch<'a> =
+        &'a dyn Fn(&mut DeviceGroup, &ReadsUndeclared) -> Result<LaunchReport, SimError>;
+    let group_run = |members: usize, launch: Launch| {
+        let mut group = DeviceGroup::with_devices(cfg.clone(), members).unwrap();
+        let src = group.create_buffer_from("src", &[1.0f32; N]).unwrap();
+        let dst = group.create_buffer::<f32>("dst", N).unwrap();
+        let extra = group.create_buffer::<f32>("extra", N).unwrap();
+        group.write_buffer(extra, &[100.0f32; N]).unwrap();
+        let result = launch(&mut group, &ReadsUndeclared { src, dst, extra });
+        (result, bits(&group.read_buffer::<f32>(dst).unwrap()))
+    };
+    for members in [1, 2] {
+        let (result, out) = group_run(members, &|g, k| g.launch_sharded(k, range));
+        assert_same_outcome(&reference, &result, &format!("sharded on {members}"));
+        assert_eq!(out, ref_bits, "sharded on {members}");
+    }
+    let (result, out) = group_run(2, &|g, k| g.launch_on(1, k, range));
+    assert_same_outcome(&reference, &result, "placed on member 1");
+    assert_eq!(out, ref_bits, "placed on member 1");
 }

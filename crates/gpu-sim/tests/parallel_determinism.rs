@@ -6,13 +6,15 @@
 //! every worker-thread count, and both match [`Device::launch_serial`].
 //! This must hold for clean kernels and for faulting ones (the fault log,
 //! including its storage cap and total count, is part of the contract).
+//! A kernel whose groups do read each other's writes still gets one
+//! answer at every worker count; only `launch_serial` differs for it.
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use kp_gpu_sim::{
-    BufferId, Device, DeviceConfig, ElemKind, ItemCtx, Kernel, LocalId, LocalSpec, NdRange,
-    SimError,
+    BufferId, BufferUse, Device, DeviceConfig, ElemKind, ItemCtx, Kernel, LocalId, LocalSpec,
+    NdRange, SimError,
 };
 
 mod common;
@@ -288,4 +290,70 @@ fn groups_observe_their_own_writes_at_any_width() {
     for threads in [1usize, 2, 4, 8] {
         assert_eq!(run(Some(threads)), reference, "threads={threads}");
     }
+}
+
+/// Item `i` reads `dst[i - 1]` and writes one more than it saw: a
+/// cross-group read-after-write when every group holds one item.
+struct ReadsLeftNeighbor {
+    dst: BufferId,
+}
+
+impl Kernel for ReadsLeftNeighbor {
+    fn name(&self) -> &str {
+        "reads-left-neighbor"
+    }
+
+    fn buffer_usage(&self) -> Option<BufferUse> {
+        Some(BufferUse::new([], [self.dst]))
+    }
+
+    fn run_phase(&self, _phase: usize, ctx: &mut ItemCtx<'_>) {
+        let i = ctx.global_id(0);
+        let left: f32 = if i > 0 {
+            ctx.read_global(self.dst, i - 1)
+        } else {
+            0.0
+        };
+        ctx.write_global(self.dst, i, left + 1.0);
+    }
+}
+
+/// A group never sees what another group of the same launch wrote, at any
+/// worker count — one included — on the blocking and the queued path.
+/// Only the serial reference applies each group's writes before the next
+/// group starts.
+#[test]
+fn cross_group_reads_do_not_depend_on_the_worker_count() {
+    let range = NdRange::new_1d(8, 1).unwrap();
+    let device = |parallelism: usize| {
+        let mut cfg = DeviceConfig::test_tiny();
+        cfg.parallelism = parallelism;
+        let mut dev = Device::new(cfg).unwrap();
+        let dst = dev.create_buffer::<f32>("dst", 8).unwrap();
+        (dev, dst)
+    };
+    let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let snapshot = bits(vec![1.0; 8]);
+    for parallelism in [1, 2, 8] {
+        let (mut dev, dst) = device(parallelism);
+        dev.launch(&ReadsLeftNeighbor { dst }, range).unwrap();
+        let blocking = bits(dev.read_buffer::<f32>(dst).unwrap());
+        assert_eq!(blocking, snapshot, "blocking, parallelism {parallelism}");
+
+        let (dev, dst) = device(parallelism);
+        dev.create_queue()
+            .enqueue_launch(ReadsLeftNeighbor { dst }, range, &[])
+            .unwrap()
+            .wait()
+            .unwrap();
+        let queued = bits(dev.read_buffer::<f32>(dst).unwrap());
+        assert_eq!(queued, snapshot, "queued, parallelism {parallelism}");
+    }
+    let (mut dev, dst) = device(1);
+    dev.launch_serial(&ReadsLeftNeighbor { dst }, range)
+        .unwrap();
+    assert_eq!(
+        dev.read_buffer::<f32>(dst).unwrap(),
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    );
 }

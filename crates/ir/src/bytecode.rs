@@ -22,6 +22,11 @@
 //! register file persists across phases exactly like the interpreter's
 //! variable map (OpenCL private memory).
 //!
+//! Every instruction is one `crate::compile` emits: the optimizer
+//! ([`crate::optimize`]) rewrites sequences of them but adds no
+//! instruction of its own, so optimized and as-lowered bytecode run
+//! through the same VM code.
+//!
 //! The VM that executes this bytecode is lane-batched (`crate::vector`):
 //! it runs one simulated wavefront of work items through each
 //! instruction in lockstep. Every operation funnels through the same
@@ -116,33 +121,6 @@ pub enum Inst {
         /// Right operand register.
         rhs: Reg,
     },
-    /// Fused pair of dependent binary operations:
-    /// `m = regs[lhs] op1 regs[rhs]; regs[dst] = m op2 regs[other]` (or
-    /// `regs[other] op2 m` when `m_left` is false). Emitted only by the
-    /// optimizer's fusion pass, for adjacent [`Inst::Bin`] pairs whose
-    /// intermediate register dies immediately — the two operations are
-    /// applied through the same `apply_bin` primitive in the same
-    /// order, so results, errors and debug-overflow behavior are
-    /// bit-identical to the unfused sequence; only the dispatch cost is
-    /// halved. `other` is guaranteed distinct from the fused-away
-    /// intermediate register.
-    Bin2 {
-        /// First operator.
-        op1: BinOp,
-        /// Second operator.
-        op2: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand of the first operation.
-        lhs: Reg,
-        /// Right operand of the first operation.
-        rhs: Reg,
-        /// The second operation's independent operand.
-        other: Reg,
-        /// Whether the intermediate result is the second operation's
-        /// *left* operand.
-        m_left: bool,
-    },
     /// Charge `n` ALU operations to this work item (timing model).
     Ops {
         /// Operation count.
@@ -170,51 +148,6 @@ pub enum Inst {
         idx: Reg,
         /// Register holding the value to store.
         src: Reg,
-    },
-    /// Fused global load feeding one binary operation:
-    /// `m = buf[regs[idx]]; regs[dst] = m op regs[other]` (or
-    /// `regs[other] op m` when `m_left` is false). Emitted only by the
-    /// optimizer's fusion pass, for a [`Inst::LoadGlobal`] whose
-    /// destination dies immediately into the next [`Inst::Bin`] — the
-    /// load goes through the same `load_global` primitive and the
-    /// operation through the same `apply_bin`, so faults, coalescing
-    /// records, results and errors are bit-identical to the unfused
-    /// pair; only the dispatch cost is halved. `other` is guaranteed
-    /// distinct from the fused-away intermediate register.
-    LoadGlobalBin {
-        /// The binary operator applied to the loaded value.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Pre-bound buffer handle.
-        buf: BufferId,
-        /// Element type of the buffer.
-        elem: ScalarTy,
-        /// Register holding the element index.
-        idx: Reg,
-        /// The operation's independent operand.
-        other: Reg,
-        /// Whether the loaded value is the operation's *left* operand.
-        m_left: bool,
-    },
-    /// Fused local load feeding one binary operation — the local-memory
-    /// counterpart of [`Inst::LoadGlobalBin`] (bank-tracked through the
-    /// same `load_local` primitive).
-    LoadLocalBin {
-        /// The binary operator applied to the loaded value.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Pre-bound local array handle.
-        arr: LocalId,
-        /// Element type of the array.
-        elem: ScalarTy,
-        /// Register holding the element index.
-        idx: Reg,
-        /// The operation's independent operand.
-        other: Reg,
-        /// Whether the loaded value is the operation's *left* operand.
-        m_left: bool,
     },
     /// `regs[dst] = arr[regs[idx]]` — local-memory read (bank-tracked).
     LoadLocal {

@@ -56,30 +56,14 @@
 //!    [`Inst::Const`] after the passes above move into dedicated
 //!    registers appended to the initial register file, so literals inside
 //!    loops cost zero instructions per iteration.
-//! 6. **Fusion peepholes** — a `Copy` that immediately consumes a dying
-//!    definition retargets the definition ([`OptStats::fused`]); adjacent
-//!    dependent `Bin` pairs whose intermediate dies collapse into one
-//!    [`Inst::Bin2`] dispatch; and a global/local load dying into the
-//!    next `Bin` collapses into one [`Inst::LoadGlobalBin`] /
-//!    [`Inst::LoadLocalBin`] — the `acc = acc + in[i]` shape of reduction
-//!    inner loops ([`OptStats::load_fused`]).
+//! 6. **Copy fusion** — a `Copy` that immediately consumes a dying
+//!    definition retargets the definition ([`OptStats::fused`]).
 //! 7. **Dead-phase elimination** — a phase whose instruction sequence
 //!    became empty (a trailing `barrier();`, a `return;`-only epilogue)
 //!    provably cannot touch memory, charge ALU ops, fault, or change
 //!    per-item state, and the VM skips it wholesale at run time.
 //!    The *number* of phases is preserved — per-phase barrier costs in
 //!    the launch report must not change.
-//! 8. **Loop-invariant code motion** — pure, total instruction chains
-//!    sitting on a loop's dominating spine move to a preheader spliced at
-//!    the loop header; the back edge is retargeted past it, so the chain
-//!    runs once per loop *entry* instead of once per iteration
-//!    ([`OptStats::licm_hoisted`]). Inner-loop preheaders migrate outward
-//!    round by round. Charges ([`Inst::Ops`]) and anything that can
-//!    fault, error, or panic stay in place, so timing and error behavior
-//!    are untouched; the only caveat is that a hoisted chain executes
-//!    even when the loop would run zero iterations, which is why only
-//!    total shapes (no `Div`/`Rem`, no `abs`, `clamp` only with provably
-//!    sane constant bounds) are eligible.
 //!
 //! The contract mirrors the rest of the execution stack: the optimizer
 //! may only remove **host-side** interpretation work, never change what
@@ -114,15 +98,9 @@ pub struct OptStats {
     pub ops_merged: usize,
     /// Constants moved into the pooled initial register file.
     pub pooled_consts: usize,
-    /// Instruction pairs collapsed by the fusion peepholes (copy fusion
-    /// and [`Inst::Bin2`] formation).
+    /// `Copy` instructions folded into their producing definition by
+    /// copy fusion.
     pub fused: usize,
-    /// Load+arithmetic pairs collapsed into [`Inst::LoadGlobalBin`] /
-    /// [`Inst::LoadLocalBin`] by the load-fusion peephole.
-    pub load_fused: usize,
-    /// Loop-invariant instructions hoisted out of loops (each leaves a
-    /// [`Inst::Copy`] behind at its original position).
-    pub licm_hoisted: usize,
     /// Phases whose instruction sequence became empty (skipped at run
     /// time; the phase *count* is preserved for the timing model).
     pub dead_phases: usize,
@@ -347,11 +325,8 @@ fn dst_of(inst: &Inst) -> Option<Reg> {
         | Inst::AsBool { dst, .. }
         | Inst::Un { dst, .. }
         | Inst::Bin { dst, .. }
-        | Inst::Bin2 { dst, .. }
         | Inst::LoadGlobal { dst, .. }
-        | Inst::LoadGlobalBin { dst, .. }
         | Inst::LoadLocal { dst, .. }
-        | Inst::LoadLocalBin { dst, .. }
         | Inst::Call { dst, .. } => Some(dst),
         Inst::GuardReset { guard } | Inst::GuardBump { guard, .. } => Some(guard),
         _ => None,
@@ -370,13 +345,7 @@ fn read_regs(inst: &Inst, out: &mut Vec<Reg>) {
         | Inst::Un { src, .. } => out.push(src),
         Inst::Assign { dst, src } => out.extend([dst, src]),
         Inst::Bin { lhs, rhs, .. } => out.extend([lhs, rhs]),
-        Inst::Bin2 {
-            lhs, rhs, other, ..
-        } => out.extend([lhs, rhs, other]),
         Inst::LoadGlobal { idx, .. } | Inst::LoadLocal { idx, .. } => out.push(idx),
-        Inst::LoadGlobalBin { idx, other, .. } | Inst::LoadLocalBin { idx, other, .. } => {
-            out.extend([idx, other]);
-        }
         Inst::StoreGlobal { idx, src, .. } | Inst::StoreLocal { idx, src, .. } => {
             out.extend([idx, src]);
         }
@@ -405,18 +374,7 @@ fn rewrite_reads(inst: &mut Inst, mut f: impl FnMut(&mut Reg)) {
             f(lhs);
             f(rhs);
         }
-        Inst::Bin2 {
-            lhs, rhs, other, ..
-        } => {
-            f(lhs);
-            f(rhs);
-            f(other);
-        }
         Inst::LoadGlobal { idx, .. } | Inst::LoadLocal { idx, .. } => f(idx),
-        Inst::LoadGlobalBin { idx, other, .. } | Inst::LoadLocalBin { idx, other, .. } => {
-            f(idx);
-            f(other);
-        }
         Inst::StoreGlobal { idx, src, .. } | Inst::StoreLocal { idx, src, .. } => {
             f(idx);
             f(src);
@@ -443,11 +401,8 @@ fn set_dst(inst: &mut Inst, new: Reg) {
         | Inst::AsBool { dst, .. }
         | Inst::Un { dst, .. }
         | Inst::Bin { dst, .. }
-        | Inst::Bin2 { dst, .. }
         | Inst::LoadGlobal { dst, .. }
-        | Inst::LoadGlobalBin { dst, .. }
         | Inst::LoadLocal { dst, .. }
-        | Inst::LoadLocalBin { dst, .. }
         | Inst::Call { dst, .. } => *dst = new,
         other => unreachable!("cannot redirect destination of {other:?}"),
     }
@@ -485,13 +440,7 @@ fn removable_when_dead(inst: &Inst) -> bool {
 fn can_abort(inst: &Inst) -> bool {
     match *inst {
         Inst::Bin { op, .. } => matches!(op, BinOp::Div | BinOp::Rem),
-        Inst::Bin2 { op1, op2, .. } => {
-            matches!(op1, BinOp::Div | BinOp::Rem) || matches!(op2, BinOp::Div | BinOp::Rem)
-        }
         Inst::Un { op, .. } => op == UnOp::Neg, // bool negation errors
-        Inst::LoadGlobalBin { op, .. } | Inst::LoadLocalBin { op, .. } => {
-            matches!(op, BinOp::Div | BinOp::Rem)
-        }
         Inst::GuardBump { .. } => true,
         _ => false,
     }
@@ -620,45 +569,8 @@ fn infer_reg_types(kernel: &CompiledKernel, frozen: &HashMap<Reg, Value>) -> Vec
                         let t = bin_ty(op, cur(&lat, lhs), cur(&lat, rhs));
                         join(&mut lat, dst, t);
                     }
-                    Inst::Bin2 {
-                        op1,
-                        op2,
-                        dst,
-                        lhs,
-                        rhs,
-                        other,
-                        m_left,
-                    } => {
-                        let m = bin_ty(op1, cur(&lat, lhs), cur(&lat, rhs));
-                        let o = cur(&lat, other);
-                        let (a, b) = if m_left { (m, o) } else { (o, m) };
-                        let t = bin_ty(op2, a, b);
-                        join(&mut lat, dst, t);
-                    }
                     Inst::LoadGlobal { dst, elem, .. } | Inst::LoadLocal { dst, elem, .. } => {
                         join(&mut lat, dst, TyLat::Ty(elem));
-                    }
-                    Inst::LoadGlobalBin {
-                        op,
-                        dst,
-                        elem,
-                        other,
-                        m_left,
-                        ..
-                    }
-                    | Inst::LoadLocalBin {
-                        op,
-                        dst,
-                        elem,
-                        other,
-                        m_left,
-                        ..
-                    } => {
-                        let m = TyLat::Ty(elem);
-                        let o = cur(&lat, other);
-                        let (a, b) = if m_left { (m, o) } else { (o, m) };
-                        let t = bin_ty(op, a, b);
-                        join(&mut lat, dst, t);
                     }
                     Inst::Call {
                         builtin,
@@ -995,17 +907,15 @@ fn liveness(
 }
 
 // ---------------------------------------------------------------------
-// Whole-CFG analyses, shared by dominator-tree value numbering and
-// loop-invariant code motion.
+// Whole-CFG analyses for dominator-tree value numbering.
 // ---------------------------------------------------------------------
 
-/// Successor/predecessor lists plus reachability and dominator relations
-/// of a phase CFG. The relation matrices are flattened row-major: entry
+/// Successor lists plus reachability and dominator relations of a phase
+/// CFG. The relation matrices are flattened row-major: entry
 /// `[b * n + j]` describes blocks `b` and `j`.
 struct Cfg {
     n: usize,
     succs: Vec<Vec<usize>>,
-    preds: Vec<Vec<usize>>,
     /// `reach[b * n + j]`: a (possibly empty) path from `b` to `j` exists.
     reach: Vec<bool>,
     /// `dom[b * n + j]`: `j` dominates `b`, with block 0 as the entry.
@@ -1075,250 +985,8 @@ fn analyze_cfg(blocks: &Blocks, code: &[Option<Inst>]) -> Cfg {
     Cfg {
         n,
         succs,
-        preds,
         reach,
         dom,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Loop-invariant code motion.
-// ---------------------------------------------------------------------
-
-/// Whether an instruction may move to a loop preheader: pure register
-/// arithmetic (no memory traffic, no [`Inst::Ops`] charge, no guard) that
-/// is *total* — it cannot fault, error, or panic on any operand values
-/// the zero-trip path could feed it.
-fn hoistable_shape(inst: &Inst, const_regs: &HashMap<Reg, Value>) -> bool {
-    // Div/Rem report division by zero; And/Or are excluded as
-    // conservatively non-total on shadow-leaked operand types.
-    const fn total_bin(op: BinOp) -> bool {
-        matches!(
-            op,
-            BinOp::Add
-                | BinOp::Sub
-                | BinOp::Mul
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-        )
-    }
-    match *inst {
-        Inst::Bin { op, .. } => total_bin(op),
-        Inst::Bin2 { op1, op2, .. } => total_bin(op1) && total_bin(op2),
-        Inst::Call {
-            builtin,
-            args,
-            argc,
-            ..
-        } => match builtin {
-            Builtin::Sqrt
-            | Builtin::Fabs
-            | Builtin::Floor
-            | Builtin::Exp
-            | Builtin::Log
-            | Builtin::Sin
-            | Builtin::Cos
-            | Builtin::Pow
-            | Builtin::ToFloat
-            | Builtin::ToInt
-            | Builtin::Min
-            | Builtin::Max
-            | Builtin::GlobalId
-            | Builtin::LocalId
-            | Builtin::GroupId
-            | Builtin::GlobalSize
-            | Builtin::LocalSize
-            | Builtin::NumGroups => true,
-            // `clamp` panics when lo > hi (or a bound is NaN): hoist only
-            // when both bounds are known constants that are sane under
-            // both the integer and the float reading of the call.
-            Builtin::Clamp => {
-                argc == 3
-                    && match (const_regs.get(&args[1]), const_regs.get(&args[2])) {
-                        (Some(&l), Some(&h)) => {
-                            l.as_i64() <= h.as_i64() && l.as_f32() <= h.as_f32()
-                        }
-                        _ => false,
-                    }
-            }
-            // `abs(i64::MIN)` panics in debug builds; keep it in place.
-            Builtin::Abs => false,
-        },
-        _ => false,
-    }
-}
-
-/// One round of loop-invariant code motion: finds the first loop (in
-/// ascending latch order, so inner loops hoist first and their hoisted
-/// prefixes migrate outward in later rounds) with a non-empty hoistable
-/// set, moves that set to a preheader spliced at the loop header, and
-/// rewrites the moved instructions' uses to fresh registers. Returns
-/// whether anything moved.
-///
-/// An instruction is hoisted when its shape is total
-/// ([`hoistable_shape`]), it sits in a block that dominates the latch
-/// (executes exactly once per complete iteration), and every register it
-/// reads is either never defined inside the loop or is the single
-/// definition of an already-hoisted instruction (chains hoist together
-/// through their fresh registers). The back edge is retargeted past the
-/// spliced prefix, so after the round the prefix is its own preheader
-/// block *outside* the natural loop — re-entry from outside still runs
-/// it, keeping the fresh registers correct on every loop entry.
-fn licm_round(
-    code: &mut Vec<Inst>,
-    next_reg: &mut usize,
-    hoist_init: &mut Vec<Value>,
-    const_regs: &HashMap<Reg, Value>,
-    stats: &mut OptStats,
-) -> bool {
-    let blocks = find_blocks(code);
-    let slots: Vec<Option<Inst>> = code.iter().copied().map(Some).collect();
-    let cfg = analyze_cfg(&blocks, &slots);
-    let n = cfg.n;
-    let mut reads = Vec::new();
-    for lb in 0..n {
-        let (ls, le) = blocks.bounds[lb];
-        let Some(&Inst::Jump { target }) = code[ls..le].last() else {
-            continue;
-        };
-        let h = target as usize;
-        if h > ls {
-            continue; // forward jump, not a latch
-        }
-        let Some(hb) = blocks.bounds.iter().position(|&(bs, _)| bs == h) else {
-            continue;
-        };
-        if !cfg.reach[lb] || !cfg.reach[hb] || !cfg.dom[lb * n + hb] {
-            continue; // unreachable or irreducible; leave alone
-        }
-        // Natural loop: latch, header, and every block that reaches the
-        // latch backward without passing through the header.
-        let mut in_loop = vec![false; n];
-        in_loop[hb] = true;
-        let mut work = vec![lb];
-        while let Some(b) = work.pop() {
-            if in_loop[b] {
-                continue;
-            }
-            in_loop[b] = true;
-            for &p in &cfg.preds[b] {
-                if !in_loop[p] {
-                    work.push(p);
-                }
-            }
-        }
-        // Definition counts inside the loop; the position is meaningful
-        // only for single-definition registers.
-        let mut def_count: HashMap<Reg, (usize, usize)> = HashMap::new();
-        for (b, &(bs, be)) in blocks.bounds.iter().enumerate() {
-            if !in_loop[b] {
-                continue;
-            }
-            for (i, inst) in code.iter().enumerate().take(be).skip(bs) {
-                if let Some(d) = dst_of(inst) {
-                    let e = def_count.entry(d).or_insert((0, i));
-                    e.0 += 1;
-                    e.1 = i;
-                }
-            }
-        }
-        // Build the hoist set in position order (= execution order along
-        // the dominating spine of the loop body).
-        let mut fresh_of: HashMap<Reg, Reg> = HashMap::new();
-        let mut hoisted: Vec<Inst> = Vec::new();
-        let mut replace: Vec<(usize, Inst)> = Vec::new();
-        'grow: for (b, &(bs, be)) in blocks.bounds.iter().enumerate() {
-            if !in_loop[b] || !cfg.dom[lb * n + b] {
-                continue;
-            }
-            for (i, &inst) in code.iter().enumerate().take(be).skip(bs) {
-                if !hoistable_shape(&inst, const_regs) {
-                    continue;
-                }
-                read_regs(&inst, &mut reads);
-                let movable = reads.iter().all(|r| match def_count.get(r) {
-                    None => true,
-                    Some(&(1, _)) => fresh_of.contains_key(r),
-                    Some(_) => false,
-                });
-                if !movable {
-                    continue;
-                }
-                let Some(dst) = dst_of(&inst) else { continue };
-                let Ok(fresh) = Reg::try_from(*next_reg) else {
-                    break 'grow; // register file full — hoist what we have
-                };
-                let mut lifted = inst;
-                rewrite_reads(&mut lifted, |r| {
-                    if let Some(&f) = fresh_of.get(r) {
-                        *r = f;
-                    }
-                });
-                set_dst(&mut lifted, fresh);
-                hoisted.push(lifted);
-                replace.push((i, Inst::Copy { dst, src: fresh }));
-                if def_count.get(&dst) == Some(&(1, i)) {
-                    fresh_of.insert(dst, fresh);
-                }
-                *next_reg += 1;
-                hoist_init.push(Value::Int(0));
-            }
-        }
-        let k = hoisted.len();
-        if k == 0 {
-            continue;
-        }
-        for &(i, c) in &replace {
-            code[i] = c;
-        }
-        // Retarget jumps: everything at or past the header start shifts
-        // by `k`; back edges from inside the loop additionally skip the
-        // hoisted prefix, while entries from outside fall into it.
-        let pos_in_loop = |i: usize| {
-            blocks
-                .bounds
-                .iter()
-                .enumerate()
-                .any(|(b, &(bs, be))| in_loop[b] && i >= bs && i < be)
-        };
-        for (i, inst) in code.iter_mut().enumerate() {
-            let target = match inst {
-                Inst::Jump { target }
-                | Inst::JumpIfFalse { target, .. }
-                | Inst::JumpIfTrue { target, .. } => target,
-                _ => continue,
-            };
-            let t = *target as usize;
-            if t > h || (t == h && pos_in_loop(i)) {
-                *target += k as u32;
-            }
-        }
-        code.splice(h..h, hoisted);
-        stats.licm_hoisted += k;
-        return true;
-    }
-    false
-}
-
-/// Runs [`licm_round`] over one phase to a fixpoint: each round hoists
-/// from one loop, and inner-loop prefixes become hoistable from their
-/// enclosing loop on the next round. The bound is a safety net — the sum
-/// of loop depths strictly decreases every round.
-fn licm_phase(
-    code: &mut Vec<Inst>,
-    next_reg: &mut usize,
-    hoist_init: &mut Vec<Value>,
-    const_regs: &HashMap<Reg, Value>,
-    stats: &mut OptStats,
-) {
-    for _ in 0..64 {
-        if !licm_round(code, next_reg, hoist_init, const_regs, stats) {
-            break;
-        }
     }
 }
 
@@ -1609,8 +1277,8 @@ pub fn optimize(kernel: &CompiledKernel) -> (CompiledKernel, OptStats) {
             }
         }
 
-        // Pass: fusion peepholes. Both need instruction-grained liveness
-        // of the intermediate register, computed per block from live-out.
+        // Pass: copy fusion. It needs instruction-grained liveness of the
+        // copied register, computed per block from live-out.
         // Pooling has already run, so operands may reference pool
         // registers past the original file — widen the universe (pool
         // slots are read-only constants; their liveness is immaterial).
@@ -1660,100 +1328,6 @@ pub fn optimize(kernel: &CompiledKernel) -> (CompiledKernel, OptStats) {
                                 continue; // `prev` still points at the def
                             }
                         }
-                    }
-                }
-                prev = Some(k);
-            }
-            // Binary-operation fusion: adjacent dependent Bin pairs whose
-            // intermediate dies immediately collapse into one Bin2
-            // dispatch. The independent operand must differ from the
-            // intermediate (a `t op t` second stage reads the fused-away
-            // value twice).
-            let mut prev: Option<usize> = None;
-            for k in 0..width {
-                let Some(inst) = code[s + k] else { continue };
-                if let (Inst::Bin { op, dst, lhs, rhs }, Some(pk)) = (inst, prev) {
-                    if let Some(Inst::Bin {
-                        op: op1,
-                        dst: t,
-                        lhs: a,
-                        rhs: b,
-                    }) = code[s + pk]
-                    {
-                        let (m_left, other) = if lhs == t { (true, rhs) } else { (false, lhs) };
-                        let consumes_once = (lhs == t) ^ (rhs == t);
-                        if consumes_once && other != t && !live_after[k][t as usize] {
-                            code[s + pk] = None;
-                            code[s + k] = Some(Inst::Bin2 {
-                                op1,
-                                op2: op,
-                                dst,
-                                lhs: a,
-                                rhs: b,
-                                other,
-                                m_left,
-                            });
-                            stats.fused += 1;
-                            prev = Some(k);
-                            continue;
-                        }
-                    }
-                }
-                prev = Some(k);
-            }
-            // Load fusion: a global/local load whose result feeds exactly
-            // one operand of the adjacent `Bin` and dies immediately
-            // collapses into one load-and-apply dispatch — the
-            // `acc = acc + in[i]` shape of reduction inner loops (charge
-            // coalescing already ran, so the pair really is adjacent).
-            let mut prev: Option<usize> = None;
-            for k in 0..width {
-                let Some(inst) = code[s + k] else { continue };
-                if let (Inst::Bin { op, dst, lhs, rhs }, Some(pk)) = (inst, prev) {
-                    let fuse = |t: Reg| {
-                        let consumes_once = (lhs == t) ^ (rhs == t);
-                        let m_left = lhs == t;
-                        let other = if m_left { rhs } else { lhs };
-                        (consumes_once && other != t && !live_after[k][t as usize])
-                            .then_some((m_left, other))
-                    };
-                    let fused = match code[s + pk] {
-                        Some(Inst::LoadGlobal {
-                            dst: t,
-                            buf,
-                            elem,
-                            idx,
-                        }) => fuse(t).map(|(m_left, other)| Inst::LoadGlobalBin {
-                            op,
-                            dst,
-                            buf,
-                            elem,
-                            idx,
-                            other,
-                            m_left,
-                        }),
-                        Some(Inst::LoadLocal {
-                            dst: t,
-                            arr,
-                            elem,
-                            idx,
-                        }) => fuse(t).map(|(m_left, other)| Inst::LoadLocalBin {
-                            op,
-                            dst,
-                            arr,
-                            elem,
-                            idx,
-                            other,
-                            m_left,
-                        }),
-                        _ => None,
-                    };
-                    if let Some(f) = fused {
-                        code[s + pk] = None;
-                        code[s + k] = Some(f);
-                        stats.load_fused += 1;
-                        prev = Some(k);
-                        continue;
                     }
                 }
                 prev = Some(k);
@@ -1812,35 +1386,9 @@ pub fn optimize(kernel: &CompiledKernel) -> (CompiledKernel, OptStats) {
         new_phases.push(compacted);
     }
 
-    // Pass: loop-invariant code motion, once the constant pool is final
-    // (pooled registers count as known constants for the clamp-bounds
-    // sanity check). Hoisted values live in fresh registers appended
-    // after the pool; their initial value is immaterial — every loop
-    // entry runs the preheader that defines them.
-    let const_regs: HashMap<Reg, Value> = frozen
-        .iter()
-        .map(|(&r, &v)| (r, v))
-        .chain(pool_values.iter().enumerate().map(|(i, &v)| {
-            let r = Reg::try_from(kernel.reg_count + i).expect("pool registers were allocated");
-            (r, v)
-        }))
-        .collect();
-    let mut next_reg = kernel.reg_count + pool_values.len();
-    let mut hoist_init: Vec<Value> = Vec::new();
-    for code in &mut new_phases {
-        licm_phase(
-            code,
-            &mut next_reg,
-            &mut hoist_init,
-            &const_regs,
-            &mut stats,
-        );
-    }
-
-    let reg_count = kernel.reg_count + pool_values.len() + hoist_init.len();
+    let reg_count = kernel.reg_count + pool_values.len();
     let mut reg_init = kernel.reg_init.clone();
     reg_init.extend(pool_values);
-    reg_init.extend(hoist_init);
     let optimized = CompiledKernel {
         phases: new_phases,
         reg_count,
@@ -2068,15 +1616,6 @@ fn lvn_inst(lvn: &mut Lvn<'_>, inst: Inst, stats: &mut OptStats) -> Option<Inst>
             );
             inst
         }
-        Inst::Bin2 { dst, .. }
-        | Inst::LoadGlobalBin { dst, .. }
-        | Inst::LoadLocalBin { dst, .. } => {
-            // Only the fusion pass (which runs after value numbering)
-            // emits these; when re-optimizing, keep them opaque.
-            let vn = lvn.fresh(None);
-            lvn.set_reg(dst, vn);
-            Some(inst)
-        }
         Inst::Ops { .. } => Some(inst), // merged by the coalescing pass
         Inst::LoadGlobal {
             dst,
@@ -2300,12 +1839,8 @@ mod tests {
         let (kernel, _) = kernel_with(&mut dev, src, 4, &[]);
         assert!(kernel.opt_stats().folded > 0);
         // `3 * 4` and `10 - 10` folded; `i * 0` needs the algebraic rule.
-        assert!(
-            count_insts(kernel.optimized(), |i| matches!(
-                i,
-                Inst::Bin { .. } | Inst::Bin2 { .. }
-            )) < count_insts(kernel.compiled(), |i| matches!(i, Inst::Bin { .. })),
-        );
+        let bins = |k| count_insts(k, |i| matches!(i, Inst::Bin { .. }));
+        assert!(bins(kernel.optimized()) < bins(kernel.compiled()));
     }
 
     #[test]
@@ -2345,7 +1880,7 @@ mod tests {
         assert!(
             count_insts(kernel.optimized(), |i| matches!(
                 i,
-                Inst::Bin { op: BinOp::Div, .. } | Inst::Bin2 { .. }
+                Inst::Bin { op: BinOp::Div, .. }
             )) >= 1,
             "the erroring division must survive optimization"
         );
@@ -2371,7 +1906,7 @@ mod tests {
                 Inst::Bin {
                     op: BinOp::Sub | BinOp::Add,
                     ..
-                } | Inst::Bin2 { .. }
+                }
             )
         });
         assert!(subs >= 2, "overflowing ops must survive, found {subs}");
@@ -2573,20 +2108,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_dependent_bins_fuse_into_bin2() {
-        let src = "kernel k(global float* dst, int w) {
-            int x = get_global_id(0);
-            int y = get_global_id(1);
-            dst[y * w + x] = float(y * w + x);
-        }";
-        let mut dev = Device::new(DeviceConfig::test_tiny()).unwrap();
-        let (kernel, _) = kernel_with(&mut dev, src, 8, &[("w", 8)]);
-        assert!(count_insts(kernel.optimized(), |i| matches!(i, Inst::Bin2 { .. })) >= 1);
-        assert!(kernel.opt_stats().fused >= 1);
-        assert_levels_identical(src, 8, &[("w", 8)]);
-    }
-
-    #[test]
     fn shadow_leaked_registers_stay_dynamically_typed() {
         // `x` holds Float then (via the leak) Int: the type lattice lands
         // at Top, so `x + 0`-style identities must NOT fire and Assign
@@ -2696,10 +2217,8 @@ mod tests {
         assert_levels_identical(src, 4, &[("w", 2)]);
         let mut dev = Device::new(DeviceConfig::test_tiny()).unwrap();
         let (kernel, _) = kernel_with(&mut dev, src, 4, &[("w", 2)]);
-        let muls = count_insts(kernel.optimized(), |i| match i {
-            Inst::Bin { op: BinOp::Mul, .. } => true,
-            Inst::Bin2 { op1, op2, .. } => *op1 == BinOp::Mul || *op2 == BinOp::Mul,
-            _ => false,
+        let muls = count_insts(kernel.optimized(), |i| {
+            matches!(i, Inst::Bin { op: BinOp::Mul, .. })
         });
         assert_eq!(muls, 1, "the common multiply must be computed once");
         assert!(kernel.opt_stats().cse_reused >= 3);
@@ -2708,8 +2227,8 @@ mod tests {
     #[test]
     fn loop_carried_values_are_not_merged_across_the_back_edge() {
         // `t * t` depends on the loop induction variable: the back edge
-        // must kill its value number (and LICM must leave it in place),
-        // or every iteration would reuse the first iteration's square.
+        // must kill its value number, or every iteration would reuse the
+        // first iteration's square.
         let src = "kernel k(global float* dst) {
             int i = get_global_id(0);
             float acc = 0.0;
@@ -2723,11 +2242,22 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_dependent_bins_fuse_into_bin2() {
+        // Named for the `Bin2` fusion the optimizer no longer does; the
+        // dependent index chain stays as an O0 == O2 check.
+        let src = "kernel k(global float* dst, int w) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            dst[y * w + x] = float(y * w + x);
+        }";
+        assert_levels_identical(src, 8, &[("w", 8)]);
+    }
+
+    #[test]
     fn licm_hoists_invariant_chains_to_a_preheader() {
-        // Everything feeding the accumulation except the accumulation
-        // itself is invariant in `i` and `w`, but not a compile-time
-        // constant — the whole chain (adds, conversions, sqrt, multiply)
-        // moves to the preheader and the loop keeps only the add.
+        // Named for the loop-invariant code motion the optimizer no longer
+        // does: the chain feeding the accumulation is invariant in `i` and
+        // `w` but not a constant. O2 must equal O0 and the exact sum.
         let src = "kernel k(global float* dst, int w) {
             int i = get_global_id(0);
             float acc = 0.0;
@@ -2745,19 +2275,12 @@ mod tests {
             }
             assert_eq!(v.to_bits(), acc.to_bits(), "item {i}");
         }
-        let mut dev = Device::new(DeviceConfig::test_tiny()).unwrap();
-        let (kernel, _) = kernel_with(&mut dev, src, 4, &[("w", 16)]);
-        assert!(
-            kernel.opt_stats().licm_hoisted >= 4,
-            "expected the invariant chain to hoist, stats: {:?}",
-            kernel.opt_stats()
-        );
     }
 
     #[test]
     fn licm_leaves_loop_carried_computation_alone() {
-        // The only arithmetic in the loop reads its own previous value;
-        // nothing is invariant, so nothing may move.
+        // The only arithmetic in the loop reads its own previous value, so
+        // every iteration must compute it afresh.
         let src = "kernel k(global float* dst) {
             int i = get_global_id(0);
             float acc = 1.5;
@@ -2768,15 +2291,13 @@ mod tests {
         }";
         let (out, _, _) = assert_levels_identical(src, 4, &[]);
         assert_eq!(out, vec![1.5 * 0.5f32.powi(6); 4]);
-        let mut dev = Device::new(DeviceConfig::test_tiny()).unwrap();
-        let (kernel, _) = kernel_with(&mut dev, src, 4, &[]);
-        assert_eq!(kernel.opt_stats().licm_hoisted, 0);
     }
 
     #[test]
     fn reduction_loads_fuse_with_their_consumer() {
-        // The `acc = acc + buf[t]` reduction shape: the load's value dies
-        // into the add, so the pair collapses into one fused dispatch.
+        // Named for the `LoadGlobalBin` fusion the optimizer no longer
+        // does; the `acc = acc + buf[t]` reduction stays as an O0 == O2
+        // check.
         let src = "kernel k(global float* dst, int n) {
             int i = get_global_id(0);
             float acc = 0.0;
@@ -2786,17 +2307,6 @@ mod tests {
             dst[i] = acc + float(i + 1);
         }";
         assert_levels_identical(src, 4, &[("n", 4)]);
-        let mut dev = Device::new(DeviceConfig::test_tiny()).unwrap();
-        let (kernel, _) = kernel_with(&mut dev, src, 4, &[("n", 4)]);
-        assert!(
-            count_insts(kernel.optimized(), |i| matches!(
-                i,
-                Inst::LoadGlobalBin { .. }
-            )) >= 1,
-            "expected a fused load, stats: {:?}",
-            kernel.opt_stats()
-        );
-        assert!(kernel.opt_stats().load_fused >= 1);
     }
 
     #[test]

@@ -434,88 +434,6 @@ fn bin_fast(
     }
 }
 
-/// Fast path for [`Inst::Bin2`]: when every lane's three operands are
-/// wave-uniform float (or int) and both fused ops are arithmetic
-/// shapes that cannot error in that mode, run the whole chain on raw
-/// slab bits. Same exactness contract as [`bin_fast`]; anything else
-/// falls back to the generic `apply_bin` chain.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn bin2_fast(
-    op1: crate::ast::BinOp,
-    op2: crate::ast::BinOp,
-    m_left: bool,
-    states: &mut VectorStates,
-    lanes: &[u32],
-    d: usize,
-    lr: usize,
-    rr: usize,
-    or: usize,
-) -> bool {
-    use crate::ast::BinOp;
-    let float_arith = |op: BinOp| matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div);
-    let int_arith = |op: BinOp| matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul);
-    let mut all_float = true;
-    let mut all_int = true;
-    for &l in lanes {
-        let o = l as usize;
-        let (lt, rt, ot) = (
-            states.tags[lr + o],
-            states.tags[rr + o],
-            states.tags[or + o],
-        );
-        all_float &= lt == TAG_FLOAT && rt == TAG_FLOAT && ot == TAG_FLOAT;
-        all_int &= lt == TAG_INT && rt == TAG_INT && ot == TAG_INT;
-    }
-    if all_float && float_arith(op1) && float_arith(op2) {
-        for &l in lanes {
-            let o = l as usize;
-            let a = f32::from_bits(states.bits[lr + o] as u32);
-            let b = f32::from_bits(states.bits[rr + o] as u32);
-            let m = match op1 {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                _ => a / b,
-            };
-            let ov = f32::from_bits(states.bits[or + o] as u32);
-            let (x, y) = if m_left { (m, ov) } else { (ov, m) };
-            let v = match op2 {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                _ => x / y,
-            };
-            states.bits[d + o] = u64::from(v.to_bits());
-            states.tags[d + o] = TAG_FLOAT;
-        }
-        true
-    } else if all_int && int_arith(op1) && int_arith(op2) {
-        for &l in lanes {
-            let o = l as usize;
-            let a = states.bits[lr + o] as i64;
-            let b = states.bits[rr + o] as i64;
-            let m = match op1 {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                _ => a * b,
-            };
-            let ov = states.bits[or + o] as i64;
-            let (x, y) = if m_left { (m, ov) } else { (ov, m) };
-            let v = match op2 {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                _ => x * y,
-            };
-            states.bits[d + o] = v as u64;
-            states.tags[d + o] = TAG_INT;
-        }
-        true
-    } else {
-        false
-    }
-}
-
 /// The comparison decode shared with [`apply_bin`]'s comparison arm.
 #[inline]
 fn cmp_result(op: crate::ast::BinOp, ord: std::cmp::Ordering) -> bool {
@@ -648,42 +566,6 @@ fn exec_straight(
                 }
             }
         }
-        Inst::Bin2 {
-            op1,
-            op2,
-            dst,
-            lhs,
-            rhs,
-            other,
-            m_left,
-        } => {
-            let (d, lr, rr, or) = (row(dst), row(lhs), row(rhs), row(other));
-            if bin2_fast(op1, op2, m_left, states, lanes, d, lr, rr, or) {
-                return false;
-            }
-            for &l in lanes {
-                let o = l as usize;
-                let a = dec(states.bits[lr + o], states.tags[lr + o]);
-                let b = dec(states.bits[rr + o], states.tags[rr + o]);
-                let full = apply_bin(op1, a, b).and_then(|m| {
-                    let ov = dec(states.bits[or + o], states.tags[or + o]);
-                    let (x, y) = if m_left { (m, ov) } else { (ov, m) };
-                    apply_bin(op2, x, y)
-                });
-                match full {
-                    Ok(v) => {
-                        let (bb, t) = enc(v);
-                        states.bits[d + o] = bb;
-                        states.tags[d + o] = t;
-                    }
-                    Err(msg) => {
-                        errors.push((l, msg.to_owned()));
-                        states.returned[base + o] = true;
-                        retired = true;
-                    }
-                }
-            }
-        }
         Inst::Ops { n } => {
             for &l in lanes {
                 wave.lane_ops(l as usize, n);
@@ -719,36 +601,6 @@ fn exec_straight(
                 wave.with_lane(o, |ctx| store_global(ctx, buf, elem, i, v));
             }
         }
-        Inst::LoadGlobalBin {
-            op,
-            dst,
-            buf,
-            elem,
-            idx,
-            other,
-            m_left,
-        } => {
-            let (d, ir, or) = (row(dst), row(idx), row(other));
-            for &l in lanes {
-                let o = l as usize;
-                let i = dec(states.bits[ir + o], states.tags[ir + o]).as_i64();
-                let m = wave.with_lane(o, |ctx| load_global(ctx, buf, elem, i));
-                let ov = dec(states.bits[or + o], states.tags[or + o]);
-                let (a, b) = if m_left { (m, ov) } else { (ov, m) };
-                match apply_bin(op, a, b) {
-                    Ok(v) => {
-                        let (bb, t) = enc(v);
-                        states.bits[d + o] = bb;
-                        states.tags[d + o] = t;
-                    }
-                    Err(msg) => {
-                        errors.push((l, msg.to_owned()));
-                        states.returned[base + o] = true;
-                        retired = true;
-                    }
-                }
-            }
-        }
         Inst::LoadLocal {
             dst,
             arr,
@@ -777,36 +629,6 @@ fn exec_straight(
                 let i = dec(states.bits[ir + o], states.tags[ir + o]).as_i64();
                 let v = dec(states.bits[sr + o], states.tags[sr + o]);
                 wave.with_lane(o, |ctx| store_local(ctx, arr, elem, i, v));
-            }
-        }
-        Inst::LoadLocalBin {
-            op,
-            dst,
-            arr,
-            elem,
-            idx,
-            other,
-            m_left,
-        } => {
-            let (d, ir, or) = (row(dst), row(idx), row(other));
-            for &l in lanes {
-                let o = l as usize;
-                let i = dec(states.bits[ir + o], states.tags[ir + o]).as_i64();
-                let m = wave.with_lane(o, |ctx| load_local(ctx, arr, elem, i));
-                let ov = dec(states.bits[or + o], states.tags[or + o]);
-                let (a, b) = if m_left { (m, ov) } else { (ov, m) };
-                match apply_bin(op, a, b) {
-                    Ok(v) => {
-                        let (bb, t) = enc(v);
-                        states.bits[d + o] = bb;
-                        states.tags[d + o] = t;
-                    }
-                    Err(msg) => {
-                        errors.push((l, msg.to_owned()));
-                        states.returned[base + o] = true;
-                        retired = true;
-                    }
-                }
             }
         }
         Inst::Call {
