@@ -12,11 +12,10 @@
 //!   that run one kernel at a time (and, for `launch_serial`, for kernels
 //!   that are not [`Sync`]);
 //! * blocking buffer operations ([`Device::read_buffer`],
-//!   [`Device::write_buffer`], [`Device::copy_buffer`]) — shims over the
-//!   corresponding enqueued commands: each first waits for every pending
-//!   command to complete (execution is eager, so this is a pure join), and
-//!   therefore observes exactly the state an in-order execution would have
-//!   produced.
+//!   [`Device::write_buffer`]) — shims over the corresponding enqueued
+//!   commands: each first waits for every pending command to complete
+//!   (execution is eager, so this is a pure join), and therefore observes
+//!   exactly the state an in-order execution would have produced.
 //!
 //! Fleets of devices are managed by [`crate::DeviceGroup`], which shards
 //! launches across members and keeps buffers coherent; this module only
@@ -69,13 +68,8 @@ pub(crate) struct DeviceState {
     pub(crate) shutdown: bool,
     /// Join handles of the persistent worker pool (spawned lazily on
     /// first enqueue; joined by [`Device`]'s drop). Workers never touch
-    /// this field themselves. Pool sizing counts `workers.len()`, so
-    /// only pool threads may live here — bridges go in `bridges`.
+    /// this field themselves. Pool sizing counts `workers.len()`.
     pub(crate) workers: Vec<std::thread::JoinHandle<()>>,
-    /// Join handles of one-shot cross-device bridge threads (spawned per
-    /// foreign wait-list event; joined by [`Device`]'s drop). Kept apart
-    /// from `workers` so they never count toward the pool target.
-    pub(crate) bridges: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Validates a launch against device limits, resolves the kernel's
@@ -189,7 +183,6 @@ impl Device {
                     sched: Sched::default(),
                     shutdown: false,
                     workers: Vec::new(),
-                    bridges: Vec::new(),
                 }),
                 cv: Condvar::new(),
                 epoch: Instant::now(),
@@ -495,46 +488,6 @@ impl Device {
         Ok(())
     }
 
-    /// Copies the contents of buffer `src` into buffer `dst` — the
-    /// blocking shim over [`Queue::enqueue_copy`] (pending commands
-    /// complete first; not charged by the timing model).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownBuffer`], [`SimError::BufferKind`] or
-    /// [`SimError::SizeMismatch`].
-    pub fn copy_buffer(&mut self, src: BufferId, dst: BufferId) -> Result<(), SimError> {
-        self.finish();
-        let mut st = self.state();
-        let src_raw = st
-            .bufs
-            .get(src.index())
-            .and_then(Option::as_ref)
-            .ok_or(SimError::UnknownBuffer(src))?;
-        let (kind, data) = (src_raw.kind, src_raw.data.clone());
-        let dst_raw = st
-            .bufs
-            .get_mut(dst.index())
-            .and_then(Option::as_mut)
-            .ok_or(SimError::UnknownBuffer(dst))?;
-        if dst_raw.kind != kind {
-            return Err(SimError::BufferKind {
-                buffer: dst,
-                expected: kind,
-                actual: dst_raw.kind,
-            });
-        }
-        if dst_raw.len() != data.len() {
-            return Err(SimError::SizeMismatch {
-                buffer: dst,
-                buffer_len: dst_raw.len(),
-                data_len: data.len(),
-            });
-        }
-        Arc::make_mut(dst_raw).data = data;
-        Ok(())
-    }
-
     /// Captures everything a blocking launch needs from the locked state.
     fn prepare_blocking<K: Kernel + ?Sized>(
         &mut self,
@@ -731,7 +684,7 @@ impl Drop for Device {
     /// commands that were mid-execution resolve their callbacks through
     /// the normal completion path first.
     fn drop(&mut self) {
-        let (workers, bridges) = {
+        let workers = {
             // Tolerate a poisoned lock here: drop must still join the
             // surviving workers even if one panicked.
             let mut st = match self.shared.state.lock() {
@@ -739,13 +692,10 @@ impl Drop for Device {
                 Err(poisoned) => poisoned.into_inner(),
             };
             st.shutdown = true;
-            (
-                std::mem::take(&mut st.workers),
-                std::mem::take(&mut st.bridges),
-            )
+            std::mem::take(&mut st.workers)
         };
         self.shared.cv.notify_all();
-        for worker in workers.into_iter().chain(bridges) {
+        for worker in workers {
             let _ = worker.join();
         }
         // With the pool gone, whatever callbacks remain belong to
@@ -849,15 +799,6 @@ mod tests {
             dev.release_buffer(id),
             Err(SimError::UnknownBuffer(_))
         ));
-    }
-
-    #[test]
-    fn copy_buffer_copies() {
-        let mut dev = device();
-        let a = dev.create_buffer_from("a", &[1.0f32, 2.0]).unwrap();
-        let b = dev.create_buffer::<f32>("b", 2).unwrap();
-        dev.copy_buffer(a, b).unwrap();
-        assert_eq!(dev.read_buffer::<f32>(b).unwrap(), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -1237,22 +1178,6 @@ mod more_tests {
         assert_eq!(report.occupancy.waves_per_group, 4);
         assert!(report.occupancy.groups_per_cu >= 1);
         assert_eq!(report.occupancy.local_bytes_per_group, 0);
-    }
-
-    #[test]
-    fn copy_buffer_rejects_kind_and_size_mismatches() {
-        let mut dev = device();
-        let f = dev.create_buffer_from("f", &[1.0f32; 4]).unwrap();
-        let i = dev.create_buffer_from("i", &[1i32; 4]).unwrap();
-        let small = dev.create_buffer::<f32>("s", 2).unwrap();
-        assert!(matches!(
-            dev.copy_buffer(f, i),
-            Err(SimError::BufferKind { .. })
-        ));
-        assert!(matches!(
-            dev.copy_buffer(f, small),
-            Err(SimError::SizeMismatch { .. })
-        ));
     }
 
     #[test]

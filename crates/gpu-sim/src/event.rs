@@ -68,7 +68,6 @@ impl EventTiming {
 pub struct Event {
     pub(crate) shared: Weak<DeviceShared>,
     pub(crate) seq: u64,
-    pub(crate) queue: u64,
 }
 
 impl Clone for Event {
@@ -80,7 +79,6 @@ impl Clone for Event {
         Self {
             shared: self.shared.clone(),
             seq: self.seq,
-            queue: self.queue,
         }
     }
 }
@@ -99,11 +97,6 @@ impl Event {
     /// order) — useful in logs.
     pub fn seq(&self) -> u64 {
         self.seq
-    }
-
-    /// Id of the queue this command was enqueued on.
-    pub fn queue_id(&self) -> u64 {
-        self.queue
     }
 
     fn complete(&self) -> Result<std::sync::Arc<DeviceShared>, SimError> {
@@ -222,19 +215,6 @@ impl Event {
         }
     }
 
-    /// Whether the command has already completed (a non-blocking poll;
-    /// with eager execution this flips to `true` on its own, without any
-    /// wait).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DeviceLost`].
-    pub fn is_complete(&self) -> Result<bool, SimError> {
-        let shared = self.shared.upgrade().ok_or(SimError::DeviceLost)?;
-        let st = shared.state.lock().expect("device state poisoned");
-        Ok(st.sched.event_slot(self.seq).is_some())
-    }
-
     /// Non-parking readiness check: `None` while the command is still
     /// pending (queued or executing), `Some(outcome)` once it has
     /// settled — `Ok(())` for success, or the command's own failure
@@ -285,6 +265,57 @@ impl Event {
     /// Callback *order* across commands follows the actual completion
     /// schedule and is not deterministic; every functional outcome it
     /// can observe is (see the crate docs' determinism argument).
+    ///
+    /// # Examples
+    ///
+    /// A serving loop harvests many in-flight commands through one
+    /// channel: each callback sends its request's token and outcome, and
+    /// the loop ends once every callback has run and dropped its sender.
+    /// Only the draining thread parks, and only while nothing is ready.
+    ///
+    /// ```
+    /// use std::sync::mpsc;
+    ///
+    /// use kp_gpu_sim::{BufferId, BufferUse, Device, DeviceConfig, ItemCtx, Kernel, NdRange};
+    ///
+    /// struct Double { src: BufferId, dst: BufferId }
+    ///
+    /// impl Kernel for Double {
+    ///     fn name(&self) -> &str { "double" }
+    ///     fn buffer_usage(&self) -> Option<BufferUse> {
+    ///         Some(BufferUse::new([self.src], [self.dst]))
+    ///     }
+    ///     fn run_phase(&self, _phase: usize, ctx: &mut ItemCtx<'_>) {
+    ///         let i = ctx.global_id(0);
+    ///         let v: f32 = ctx.read_global(self.src, i);
+    ///         ctx.write_global(self.dst, i, 2.0 * v);
+    ///         ctx.ops(1);
+    ///     }
+    /// }
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut dev = Device::new(DeviceConfig::test_tiny())?;
+    /// let src = dev.create_buffer_from("src", &[1.0f32; 64])?;
+    /// let dst = dev.create_buffer::<f32>("dst", 64)?;
+    /// let queue = dev.create_queue();
+    /// let (tx, rx) = mpsc::channel();
+    /// for token in 0..4u64 {
+    ///     let ev = queue.enqueue_launch(Double { src, dst }, NdRange::new_1d(64, 4)?, &[])?;
+    ///     let tx = tx.clone();
+    ///     ev.on_complete(move |result| {
+    ///         let _ = tx.send((token, result));
+    ///     });
+    /// }
+    /// drop(tx);
+    /// let mut done = 0;
+    /// for (_token, result) in rx {
+    ///     result?;
+    ///     done += 1;
+    /// }
+    /// assert_eq!(done, 4);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn on_complete<F>(&self, callback: F)
     where
         F: FnOnce(Result<(), SimError>) + Send + 'static,

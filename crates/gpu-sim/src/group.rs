@@ -148,9 +148,9 @@ impl DeviceGroup {
     }
 
     /// Creates a command queue on member `idx` (see [`Queue`]). Events
-    /// from one member's queue may appear in wait-lists of another's —
-    /// cross-device waits bridge automatically (see [`Queue`]'s
-    /// "Cross-device waits" docs).
+    /// from one member's queue may appear in wait-lists of another's; such
+    /// a wait is a completion callback on the foreign event and costs no
+    /// thread (see [`Queue`]'s "Cross-device waits" docs).
     ///
     /// # Panics
     ///
@@ -437,8 +437,8 @@ impl DeviceGroup {
     /// This is the serving-loop building block for *enqueued* placement:
     /// [`DeviceGroup::launch_on`] migrates and blocks, but a loop that
     /// enqueues on a member queue ([`DeviceGroup::create_queue`]) and
-    /// harvests through a [`crate::CompletionQueue`] must make shared
-    /// inputs resident itself before enqueueing. Migration is a host-side
+    /// harvests through [`crate::Event::on_complete`] callbacks must make
+    /// shared inputs resident itself before enqueueing. Migration is a host-side
     /// copy through the member devices' blocking buffer paths, so call it
     /// from the admission path (where it is a no-op whenever the copy is
     /// already valid), not from a completion callback.

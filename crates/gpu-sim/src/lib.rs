@@ -62,8 +62,8 @@
 //!
 //! The primary host API is OpenCL-style **command streams**:
 //! [`Device::create_queue`] returns a [`Queue`] whose
-//! `enqueue_launch` / `enqueue_read` / `enqueue_write` / `enqueue_copy`
-//! methods append commands and return [`Event`]s immediately. Commands
+//! `enqueue_launch` / `enqueue_read` / `enqueue_write` methods append
+//! commands and return [`Event`]s immediately. Commands
 //! declare wait-lists (events), the scheduler additionally infers buffer
 //! read/write hazards from each kernel's declared
 //! [`Kernel::buffer_usage`], and everything whose dependencies are
@@ -81,19 +81,19 @@
 //! `enqueue_read` + wait, and so on — each joins the pending stream
 //! first, so mixing the two styles preserves enqueue-order semantics.
 //!
-//! ## Non-blocking completion: poll, callbacks, completion queues
+//! ## Non-blocking completion: poll and callbacks
 //!
 //! A serving loop with thousands of commands in flight never parks on
 //! individual events. [`Event::poll`] is a non-parking readiness check
-//! returning the settled outcome; [`Event::on_complete`] registers a
+//! returning the settled outcome, and [`Event::on_complete`] registers a
 //! callback fired exactly once from the resolving worker with the device
-//! lock released; and a [`CompletionQueue`] multiplexes any number of
-//! events — across all devices of a [`DeviceGroup`] — into one drainable
-//! ready-stream ([`CompletionQueue::drain`] / [`CompletionQueue::next`]).
-//! Completion *order* follows the actual schedule and is not
-//! deterministic, but every outcome, report and fault log observed
-//! through these paths is bit-identical to blocking waits — the
-//! `queue_graph` differential suite pins this at several worker counts.
+//! lock released. Callbacks of any number of events — across all devices
+//! of a [`DeviceGroup`] — can feed one `std::sync::mpsc` channel that the
+//! loop drains (see the example on [`Event::on_complete`]). Completion
+//! *order* follows the actual schedule and is not deterministic, but
+//! every outcome, report and fault log observed through these paths is
+//! bit-identical to blocking waits — the `queue_graph` differential suite
+//! pins this at several worker counts.
 //!
 //! ## Multi-device: `DeviceGroup`
 //!
@@ -107,8 +107,9 @@
 //! least-loaded member ([`DeviceGroup::place`] /
 //! [`DeviceGroup::launch_on`]); and group buffers keep one copy per
 //! member with on-demand migration, counted and priced in
-//! [`GroupStats`]. Events may cross devices in wait-lists — see
-//! [`Queue`]'s "Cross-device waits" docs.
+//! [`GroupStats`]. Events may cross devices in wait-lists; such a wait
+//! is a completion callback on the foreign event and costs no thread —
+//! see [`Queue`]'s "Cross-device waits" docs.
 //!
 //! ## Kernel execution: per item, or one wavefront at a time
 //!
@@ -173,7 +174,6 @@
 #![warn(missing_debug_implementations)]
 
 mod buffer;
-mod completion;
 mod config;
 mod device;
 mod engine;
@@ -190,7 +190,6 @@ pub mod local;
 pub mod timing;
 
 pub use buffer::{BufferId, ElemKind, Scalar};
-pub use completion::{Completion, CompletionQueue};
 pub use config::{DeviceConfig, ExecMode, OptLevel};
 pub use device::Device;
 pub use engine::{resolve_devices, resolve_parallelism};

@@ -1,13 +1,12 @@
 //! Command queues: the asynchronous, overlappable host API.
 //!
 //! OpenCL hosts do not *call* kernels — they **enqueue** commands (kernel
-//! launches, buffer reads/writes/copies) on command queues and order them
+//! launches, buffer reads and writes) on command queues and order them
 //! with events. This module brings that model to the simulator:
 //!
 //! * [`Queue::enqueue_launch`] / [`Queue::enqueue_read`] /
-//!   [`Queue::enqueue_write`] / [`Queue::enqueue_copy`] append commands to
-//!   the device's command stream and return an [`Event`](crate::Event)
-//!   immediately;
+//!   [`Queue::enqueue_write`] append commands to the device's command
+//!   stream and return an [`Event`](crate::Event) immediately;
 //! * commands may declare explicit wait-lists (events), and the scheduler
 //!   additionally **infers buffer hazards**: a command that reads buffer
 //!   `B` is ordered after the last earlier command that writes `B`
@@ -68,11 +67,15 @@
 //!
 //! Wait-lists may contain events from **other** devices (e.g. other
 //! members of a [`crate::DeviceGroup`]). Such a foreign event does not
-//! enter the local hazard DAG; instead a bridge thread waits for it to
-//! settle on its own device and then marks the local command's foreign
-//! dependency satisfied. Any settled outcome — success, failure,
-//! cancellation, or the foreign device being dropped — counts, mirroring
-//! the local rule that a cancelled dependency is a satisfied one.
+//! enter the local hazard DAG; instead the enqueue registers an
+//! [`Event::on_complete`](crate::Event::on_complete) callback on it that
+//! marks the local command's foreign dependency satisfied and wakes the
+//! local pool — no thread waits for the foreign event. Any settled
+//! outcome — success, failure, cancellation, or the foreign device being
+//! dropped — counts, mirroring the local rule that a cancelled dependency
+//! is a satisfied one. The callback holds only a weak handle to the local
+//! device: it never keeps a dropped device alive, and it does nothing if
+//! the local command was cancelled meanwhile.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, MutexGuard, Weak};
@@ -129,8 +132,9 @@ pub(crate) struct Command {
     /// satisfied once its seq leaves the pending map.
     deps: Vec<u64>,
     /// Count of wait-list events that live on *other* devices and have
-    /// not yet settled. Decremented by the bridge threads spawned at
-    /// enqueue time; the command is not ready until it reaches zero.
+    /// not yet settled. Decremented by the completion callbacks
+    /// registered at enqueue time; the command is not ready until it
+    /// reaches zero.
     foreign_pending: usize,
     access: Access,
     kind: CommandKind,
@@ -151,10 +155,6 @@ enum CommandKind {
     Write {
         slot: usize,
         bits: Vec<u64>,
-    },
-    Copy {
-        src: usize,
-        dst: usize,
     },
 }
 
@@ -182,8 +182,6 @@ pub(crate) enum CommandResult {
     },
     /// A buffer write completed.
     Write,
-    /// A buffer copy completed.
-    Copy,
 }
 
 impl CommandResult {
@@ -195,7 +193,6 @@ impl CommandResult {
             } => "read",
             CommandResult::Read { snapshot: None, .. } => "read (already taken)",
             CommandResult::Write => "write completion",
-            CommandResult::Copy => "copy completion",
         }
     }
 }
@@ -206,11 +203,10 @@ pub(crate) struct EventSlot {
     pub timing: EventTiming,
 }
 
-/// A completion callback registered through [`Event::on_complete`] (or,
-/// indirectly, [`crate::CompletionQueue::watch`]). Receives the command's
-/// settled outcome: `Ok(())`, the command's own failure, or
-/// [`SimError::QueueReleased`] / [`SimError::DeviceLost`] if it was
-/// cancelled / the device dropped first.
+/// A completion callback registered through [`Event::on_complete`].
+/// Receives the command's settled outcome: `Ok(())`, the command's own
+/// failure, or [`SimError::QueueReleased`] / [`SimError::DeviceLost`] if
+/// it was cancelled / the device dropped first.
 pub(crate) type CompletionCallback = Box<dyn FnOnce(Result<(), SimError>) + Send>;
 
 /// Invokes a batch of completion callbacks with the command's settled
@@ -529,28 +525,19 @@ impl Queue {
 
     /// Splits a wait-list into same-device dependencies (seq numbers, fed
     /// to the hazard scheduler directly) and foreign events (events on
-    /// *other* devices — e.g. other members of a [`crate::DeviceGroup`]).
-    /// Each foreign event gets a bridge thread at enqueue time that waits
-    /// for it to settle and then unblocks the command.
-    fn check_wait_list(&self, wait: &[Event]) -> (Vec<u64>, Vec<Event>) {
+    /// *other* devices — e.g. other members of a [`crate::DeviceGroup`]),
+    /// which [`Queue::insert_command`] watches with [`Event::on_complete`].
+    fn check_wait_list<'w>(&self, wait: &'w [Event]) -> (Vec<u64>, Vec<&'w Event>) {
         let mut seqs = Vec::with_capacity(wait.len());
         let mut foreign = Vec::new();
         for e in wait {
             if Weak::ptr_eq(&e.shared, &self.shared) {
                 seqs.push(e.seq);
             } else {
-                foreign.push(e.clone());
+                foreign.push(e);
             }
         }
         (seqs, foreign)
-    }
-
-    fn event(&self, seq: u64) -> Event {
-        Event {
-            shared: self.shared.clone(),
-            seq,
-            queue: self.id,
-        }
     }
 
     /// Enqueues a kernel launch and returns its event. The launch is
@@ -579,23 +566,20 @@ impl Queue {
         K: Kernel + Send + Sync + 'static,
     {
         let shared = self.upgrade()?;
-        let (explicit, foreign) = self.check_wait_list(wait);
         let mut st = shared.state.lock().expect("device state poisoned");
         let (plan, setup, access) = crate::device::prepare_launch(&mut st, &kernel, range)?;
-        let seq = self.insert_command(
+        Ok(self.insert_command(
             &shared,
-            &mut st,
+            st,
             access,
-            explicit,
-            foreign,
+            wait,
             CommandKind::Launch {
                 kernel: Arc::new(kernel),
                 range,
                 plan,
                 setup,
             },
-        );
-        Ok(self.event(seq))
+        ))
     }
 
     /// Enqueues a read of `buffer` into host memory; the data is retrieved
@@ -611,8 +595,7 @@ impl Queue {
         wait: &[Event],
     ) -> Result<Event, SimError> {
         let shared = self.upgrade()?;
-        let (explicit, foreign) = self.check_wait_list(wait);
-        let mut st = shared.state.lock().expect("device state poisoned");
+        let st = shared.state.lock().expect("device state poisoned");
         let raw = st
             .bufs
             .get(buffer.index())
@@ -629,15 +612,7 @@ impl Queue {
             reads: vec![buffer.index()],
             writes: vec![],
         };
-        let seq = self.insert_command(
-            &shared,
-            &mut st,
-            access,
-            explicit,
-            foreign,
-            CommandKind::Read { buffer },
-        );
-        Ok(self.event(seq))
+        Ok(self.insert_command(&shared, st, access, wait, CommandKind::Read { buffer }))
     }
 
     /// Enqueues an overwrite of `buffer` with `data` (copied out
@@ -654,8 +629,7 @@ impl Queue {
         wait: &[Event],
     ) -> Result<Event, SimError> {
         let shared = self.upgrade()?;
-        let (explicit, foreign) = self.check_wait_list(wait);
-        let mut st = shared.state.lock().expect("device state poisoned");
+        let st = shared.state.lock().expect("device state poisoned");
         let raw = st
             .bufs
             .get(buffer.index())
@@ -680,87 +654,32 @@ impl Queue {
             writes: vec![buffer.index()],
         };
         let bits = data.iter().map(|v| v.to_bits64()).collect();
-        let seq = self.insert_command(
+        Ok(self.insert_command(
             &shared,
-            &mut st,
+            st,
             access,
-            explicit,
-            foreign,
+            wait,
             CommandKind::Write {
                 slot: buffer.index(),
                 bits,
             },
-        );
-        Ok(self.event(seq))
+        ))
     }
 
-    /// Enqueues a device-side copy of `src` into `dst`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DeviceLost`], [`SimError::UnknownBuffer`],
-    /// [`SimError::BufferKind`], [`SimError::SizeMismatch`].
-    pub fn enqueue_copy(
-        &self,
-        src: BufferId,
-        dst: BufferId,
-        wait: &[Event],
-    ) -> Result<Event, SimError> {
-        let shared = self.upgrade()?;
-        let (explicit, foreign) = self.check_wait_list(wait);
-        let mut st = shared.state.lock().expect("device state poisoned");
-        let src_raw = st
-            .bufs
-            .get(src.index())
-            .and_then(Option::as_ref)
-            .ok_or(SimError::UnknownBuffer(src))?;
-        let (src_kind, src_len) = (src_raw.kind, src_raw.len());
-        let dst_raw = st
-            .bufs
-            .get(dst.index())
-            .and_then(Option::as_ref)
-            .ok_or(SimError::UnknownBuffer(dst))?;
-        if dst_raw.kind != src_kind {
-            return Err(SimError::BufferKind {
-                buffer: dst,
-                expected: src_kind,
-                actual: dst_raw.kind,
-            });
-        }
-        if dst_raw.len() != src_len {
-            return Err(SimError::SizeMismatch {
-                buffer: dst,
-                buffer_len: dst_raw.len(),
-                data_len: src_len,
-            });
-        }
-        let access = Access::Declared {
-            reads: vec![src.index()],
-            writes: vec![dst.index()],
-        };
-        let seq = self.insert_command(
-            &shared,
-            &mut st,
-            access,
-            explicit,
-            foreign,
-            CommandKind::Copy {
-                src: src.index(),
-                dst: dst.index(),
-            },
-        );
-        Ok(self.event(seq))
-    }
-
+    /// Appends a validated command to the stream, wakes the pool and
+    /// returns the command's event. Takes the device lock by value:
+    /// foreign wait-list events are watched only after it is released,
+    /// because an event that has already settled fires its callback on
+    /// this thread at once, and the callback takes this lock.
     fn insert_command(
         &self,
         shared: &Arc<DeviceShared>,
-        st: &mut MutexGuard<'_, DeviceState>,
+        mut st: MutexGuard<'_, DeviceState>,
         access: Access,
-        explicit: Vec<u64>,
-        foreign: Vec<Event>,
+        wait: &[Event],
         kind: CommandKind,
-    ) -> u64 {
+    ) -> Event {
+        let (explicit, foreign) = self.check_wait_list(wait);
         let deps = st.sched.collect_deps(&access, &explicit);
         let profiling = st.profiling;
         let seq = st.sched.insert(Command {
@@ -773,40 +692,36 @@ impl Queue {
             profiling,
         });
         st.sched.track_event(seq);
-        // Cross-device waits: one bridge thread per foreign event waits
-        // for the event to settle on its own device, then unblocks this
-        // command. *Any* settled outcome counts as satisfied — completion,
-        // cancellation, or a lost device — matching the cancelled-dep
-        // semantics of same-device waits. Bridges go in the dedicated
-        // bridge list (NOT `workers`: `ensure_workers` sizes the pool by
-        // that list's length) so `Device::drop` reaps them; no deadlock
-        // is possible because the cross-device wait graph only points at
-        // already-created events (a DAG) and every device's drop/shutdown
-        // wakes its waiters.
-        for e in foreign {
-            let local = Arc::clone(shared);
-            let handle = std::thread::Builder::new()
-                .name("kp-sim-bridge".into())
-                .spawn(move || {
-                    if let Some(theirs) = e.shared.upgrade() {
-                        wait_seq(&theirs, e.seq);
-                    }
-                    let mut st = local.state.lock().expect("device state poisoned");
-                    if let Some(cmd) = st.sched.pending.get_mut(&seq) {
-                        cmd.foreign_pending -= 1;
-                    }
-                    drop(st);
-                    local.cv.notify_all();
-                })
-                .expect("spawn cross-device bridge");
-            st.bridges.push(handle);
-        }
         // Eager execution: make sure the worker pool exists and wake it —
         // the command starts as soon as its dependencies are done, not
         // when somebody waits.
-        ensure_workers(shared, st);
+        ensure_workers(shared, &mut st);
         shared.cv.notify_all();
-        seq
+        drop(st);
+        // Cross-device waits: each foreign event settles this command's
+        // dependency from its own completion path. *Any* outcome counts —
+        // completion, cancellation, or a lost device — matching the
+        // cancelled-dep semantics of same-device waits. A queue drop may
+        // have cancelled the command by then, so only a still-pending
+        // command is decremented.
+        for e in foreign {
+            let local = Arc::downgrade(shared);
+            e.on_complete(move |_| {
+                let Some(local) = local.upgrade() else {
+                    return;
+                };
+                let mut st = local.state.lock().expect("device state poisoned");
+                if let Some(cmd) = st.sched.pending.get_mut(&seq) {
+                    cmd.foreign_pending -= 1;
+                }
+                drop(st);
+                local.cv.notify_all();
+            });
+        }
+        Event {
+            shared: self.shared.clone(),
+            seq,
+        }
     }
 
     /// Blocks until every still-pending command of this queue has
@@ -887,7 +802,7 @@ pub(crate) fn ensure_workers(shared: &Arc<DeviceShared>, st: &mut MutexGuard<'_,
 
 /// Body of one persistent pool worker: park on the device condvar until
 /// a command is ready, execute it, publish its event, repeat — until the
-/// device shuts down. Host-side commands (reads/writes/copies) are
+/// device shuts down. Host-side commands (reads and writes) are
 /// executed in batches under the lock; launches release the lock for the
 /// duration of kernel execution.
 fn worker_loop(shared: &Arc<DeviceShared>) {
@@ -1081,7 +996,7 @@ fn execute_launch(shared: &Arc<DeviceShared>, run: LaunchRun) {
     fire_callbacks(callbacks, &outcome);
 }
 
-/// Executes a host-side command (read/write/copy) under the device lock.
+/// Executes a host-side command (read or write) under the device lock.
 /// Returns the command's completion callbacks (if any) paired with its
 /// outcome — the caller fires them once the lock is released.
 fn execute_instant(
@@ -1111,18 +1026,6 @@ fn execute_instant(
                 .expect("validated at enqueue; releases drain first");
             Arc::make_mut(raw).data = bits;
             Ok(CommandResult::Write)
-        }
-        CommandKind::Copy { src, dst } => {
-            let data = st.bufs[src]
-                .as_ref()
-                .expect("validated at enqueue; releases drain first")
-                .data
-                .clone();
-            let raw = st.bufs[dst]
-                .as_mut()
-                .expect("validated at enqueue; releases drain first");
-            Arc::make_mut(raw).data = data;
-            Ok(CommandResult::Copy)
         }
         CommandKind::Launch { .. } => unreachable!("launches are not instant commands"),
     };

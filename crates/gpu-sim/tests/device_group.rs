@@ -7,17 +7,17 @@
 //! sharded launches (clean and faulting) against a plain [`Device`]
 //! reference at 1/2/4 members, seeded random command graphs replayed on a
 //! 1-member group, migration counters across device-local reuse, the
-//! enqueued serve loop (place → prefetch → enqueue → watch → drain)
+//! enqueued serve loop (place → prefetch → enqueue → callback → drain)
 //! against a `launch_serial` reference, placement around a busy member,
 //! and the same declared-usage faults on every launch path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use kp_gpu_sim::{
-    BufferId, BufferUse, CompletionQueue, Device, DeviceConfig, DeviceGroup, Event, ItemCtx,
-    Kernel, LaunchReport, NdRange, SimError,
+    BufferId, BufferUse, Device, DeviceConfig, DeviceGroup, Event, ItemCtx, Kernel, LaunchReport,
+    NdRange, SimError,
 };
 
 mod common;
@@ -372,10 +372,11 @@ fn migrations_happen_on_demand_only() {
 /// The serving path end to end on a 2-member fleet: every request is
 /// placed, makes the shared frame resident with `prefetch`, enqueues on
 /// its member's queue into a pooled output slot and is harvested through
-/// one `CompletionQueue`, while the host rewrites the frame every
-/// `REFRESH` requests. Every request must succeed with the bits a serial
-/// launch of the same frame version produces, the refreshes must cost
-/// priced migrations, and every slot must come back to its pool.
+/// `on_complete` callbacks feeding one channel, while the host rewrites
+/// the frame every `REFRESH` requests. Every request must succeed with
+/// the bits a serial launch of the same frame version produces, the
+/// refreshes must cost priced migrations, and every slot must come back
+/// to its pool.
 #[test]
 fn fleet_serve_loop_is_error_free_bit_identical_and_pays_migrations() {
     const REQUESTS: u64 = 48;
@@ -417,7 +418,7 @@ fn fleet_serve_loop_is_error_free_bit_identical_and_pays_migrations() {
         bits(&reference.read_buffer::<f32>(dst).unwrap())
     };
 
-    let cq = CompletionQueue::new();
+    let (tx, rx) = mpsc::channel();
     let mut pending: HashMap<u64, (Event, usize, BufferId, Vec<u32>)> = HashMap::new();
     let (mut admitted, mut completed) = (0u64, 0u64);
     while completed < REQUESTS {
@@ -439,17 +440,20 @@ fn fleet_serve_loop_is_error_free_bit_identical_and_pays_migrations() {
                 oob_at: None,
             };
             let launch = queues[member].enqueue_launch(kernel, range, &[]).unwrap();
-            cq.watch(&launch, req);
+            let tx = tx.clone();
+            launch.on_complete(move |result| {
+                let _ = tx.send((req, result));
+            });
             // Ordered after the launch by its read-after-write hazard.
             let read = queues[member].enqueue_read::<f32>(slot, &[]).unwrap();
             pending.insert(req, (read, member, slot, serial_bits(version, factor)));
         }
-        let first = cq.next().expect("requests in flight");
-        for c in std::iter::once(first).chain(cq.drain()) {
-            let (read, member, slot, want) = pending.remove(&c.token).expect("tracked");
-            assert!(c.result.is_ok(), "request {}: {:?}", c.token, c.result);
+        let first = rx.recv().expect("requests in flight");
+        for (req, result) in std::iter::once(first).chain(rx.try_iter()) {
+            let (read, member, slot, want) = pending.remove(&req).expect("tracked");
+            assert!(result.is_ok(), "request {req}: {result:?}");
             let out = read.wait_read::<f32>().unwrap();
-            assert_eq!(bits(&out), want, "request {} differs from serial", c.token);
+            assert_eq!(bits(&out), want, "request {req} differs from serial");
             pools[member].push(slot);
             completed += 1;
         }

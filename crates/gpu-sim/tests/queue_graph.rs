@@ -12,12 +12,12 @@
 //! seed in the assertion message.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use kp_gpu_sim::{
-    BufferId, BufferUse, CompletionQueue, Device, DeviceConfig, Event, FaultKind, ItemCtx, Kernel,
-    LaunchReport, NdRange, Queue, SimError,
+    BufferId, BufferUse, Device, DeviceConfig, Event, FaultKind, ItemCtx, Kernel, LaunchReport,
+    NdRange, Queue, SimError,
 };
 
 mod common;
@@ -180,10 +180,6 @@ enum Cmd {
         dst: usize,
         salt: u32,
     },
-    Copy {
-        src: usize,
-        dst: usize,
-    },
     Read {
         src: usize,
     },
@@ -223,9 +219,12 @@ fn random_graph(
                     dst: rng.below(nbufs),
                     salt: rng.next() as u32,
                 },
-                7 => Cmd::Copy {
+                // A plain copy: reads one buffer, writes another.
+                7 => Cmd::Scale {
                     src: rng.below(nbufs),
                     dst: rng.below(nbufs),
+                    factor: 1.0,
+                    oob: false,
                 },
                 8 | 9 => Cmd::Read {
                     src: rng.below(nbufs),
@@ -285,8 +284,9 @@ enum Reap {
     /// Enqueue everything, then spin on `Event::poll` (never parks)
     /// until every event reports a settled outcome.
     Polling,
-    /// Enqueue everything, watch every event on one `CompletionQueue`,
-    /// and drain it until each callback has fired exactly once.
+    /// Enqueue everything, register an `on_complete` callback on every
+    /// event that sends to one channel, and drain the channel until each
+    /// callback has fired exactly once.
     Callbacks,
 }
 
@@ -360,15 +360,6 @@ fn run_graph(
                     .collect();
                 (q.enqueue_write(bufs[dst], &data, &wait).unwrap(), false)
             }
-            Cmd::Copy { src, dst } => {
-                if src == dst {
-                    // Self-copy is a host error in the blocking API too;
-                    // just degrade to a read to keep the graph simple.
-                    (q.enqueue_read::<f32>(bufs[src], &wait).unwrap(), true)
-                } else {
-                    (q.enqueue_copy(bufs[src], bufs[dst], &wait).unwrap(), false)
-                }
-            }
             Cmd::Read { src } => (q.enqueue_read::<f32>(bufs[src], &wait).unwrap(), true),
         };
         if reap == Reap::InOrder {
@@ -397,14 +388,18 @@ fn run_graph(
             }
         }
         Reap::Callbacks => {
-            let cq = CompletionQueue::new();
+            let (tx, rx) = mpsc::channel();
             for (i, (event, _)) in events.iter().enumerate() {
-                cq.watch(event, i as u64);
+                let tx = tx.clone();
+                event.on_complete(move |result| {
+                    let _ = tx.send((i, result));
+                });
             }
+            drop(tx);
             let mut fired = vec![0u32; events.len()];
-            while let Some(c) = cq.next() {
-                fired[c.token as usize] += 1;
-                assert_eq!(events[c.token as usize].0.wait().is_ok(), c.result.is_ok());
+            for (i, result) in rx {
+                fired[i] += 1;
+                assert_eq!(events[i].0.wait().is_ok(), result.is_ok());
             }
             assert!(
                 fired.iter().all(|&n| n == 1),
@@ -432,7 +427,7 @@ fn run_graph(
         .collect();
     for (event, _) in &events {
         assert!(
-            event.is_complete().unwrap(),
+            event.poll().is_some(),
             "event {} did not complete",
             event.seq()
         );
@@ -487,7 +482,7 @@ fn faulting_graphs_keep_fault_logs_bit_identical() {
 fn poll_and_callback_completion_match_blocking_waits() {
     // The non-blocking completion layer is pure signalling: finishing the
     // same graph via `poll()` spin loops or `on_complete` callbacks (one
-    // CompletionQueue over all events) must yield outputs, reports and
+    // channel over all events) must yield outputs, reports and
     // fault logs bit-identical to blocking waits — at 1, 2 and 8 workers,
     // on clean and faulting graphs alike.
     for (seed, faults) in [(11u64, false), (12, false), (102, true), (103, true)] {
@@ -791,23 +786,79 @@ fn event_result_accessors_are_typed() {
 
 #[test]
 fn cross_device_events_bridge_in_wait_lists() {
-    // A wait-list event from another device is bridged: the dependent
-    // command waits for the foreign event to settle, then runs normally.
+    // A wait-list event from another device holds the dependent command
+    // back until the foreign event settles; then it runs normally. Each
+    // device stamps `EventTiming` from its own creation, so the
+    // ordering is checked with a gate instead of timestamps.
     let mut dev_a = device(1);
     let mut dev_b = device(1);
-    let buf_a = dev_a.create_buffer_from("a", &[1.0f32; 4]).unwrap();
+    let gbuf = dev_a.create_buffer::<f32>("g", 1).unwrap();
     let buf_b = dev_b.create_buffer_from("b", &[2.0f32; 4]).unwrap();
+    let gate = Arc::new(AtomicBool::new(false));
+    let _open = OpenOnDrop(Arc::clone(&gate));
     let qa = dev_a.create_queue();
     let qb = dev_b.create_queue();
-    let ea = qa.enqueue_read::<f32>(buf_a, &[]).unwrap();
+    let ea = qa
+        .enqueue_launch(
+            Gated {
+                buf: gbuf,
+                gate: Arc::clone(&gate),
+            },
+            NdRange::new_1d(1, 1).unwrap(),
+            &[],
+        )
+        .unwrap();
     let eb = qb
         .enqueue_read::<f32>(buf_b, std::slice::from_ref(&ea))
         .unwrap();
+    // B's worker resolves ready reads in enqueue order, so once a later,
+    // independent read of the same buffer completed, it has seen `eb` and
+    // left it pending: the foreign dependency holds it back.
+    qb.enqueue_read::<f32>(buf_b, &[]).unwrap().wait().unwrap();
+    assert!(eb.poll().is_none(), "ran before its foreign dependency");
+    gate.store(true, Ordering::Release);
     assert_eq!(eb.wait_read::<f32>().unwrap(), vec![2.0; 4]);
-    let ta = ea.timing().unwrap();
-    let tb = eb.timing().unwrap();
-    // The bridged dependency holds B's command back until A's settled.
-    assert!(tb.started >= ta.ended);
+    ea.wait().unwrap();
+}
+
+/// A callback registered on an already-settled event runs on the
+/// registering thread before `on_complete` returns, with the command's
+/// own outcome — success and kernel faults alike.
+#[test]
+fn on_complete_on_a_settled_event_fires_on_the_calling_thread() {
+    let mut dev = device(2);
+    let src = dev.create_buffer_from("s", &[1.0f32; BUF_LEN]).unwrap();
+    let dst = dev.create_buffer::<f32>("d", BUF_LEN).unwrap();
+    let q = dev.create_queue();
+    for oob in [false, true] {
+        let ev = q
+            .enqueue_launch(
+                Scale {
+                    src,
+                    dst,
+                    factor: 2.0,
+                    oob,
+                },
+                NdRange::new_1d(BUF_LEN, 16).unwrap(),
+                &[],
+            )
+            .unwrap();
+        let _ = ev.wait();
+        let (tx, rx) = mpsc::channel();
+        ev.on_complete(move |result| {
+            let _ = tx.send((std::thread::current().id(), result));
+        });
+        let (thread, result) = rx.try_recv().expect("fired before on_complete returned");
+        assert_eq!(thread, std::thread::current().id());
+        if oob {
+            assert!(
+                matches!(result, Err(SimError::KernelFaults { total: 1, .. })),
+                "{result:?}"
+            );
+        } else {
+            assert_eq!(result, Ok(()));
+        }
+    }
 }
 
 #[test]
@@ -873,7 +924,7 @@ fn blocking_shims_drain_pending_commands_first() {
 }
 
 /// The eager-start contract: enqueued commands run to completion with
-/// **no** wait of any kind — only non-triggering `is_complete` polls —
+/// **no** wait of any kind — only non-triggering `poll`s —
 /// and their `started` timestamps predate the first `wait` call.
 ///
 /// The timestamp bound is sound without access to the device epoch:
@@ -917,7 +968,7 @@ fn commands_execute_eagerly_without_any_wait() {
         .unwrap();
     // Poll only. Demand-driven execution would never complete these.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !(e1.is_complete().unwrap() && e2.is_complete().unwrap()) {
+    while e1.poll().is_none() || e2.poll().is_none() {
         assert!(
             Instant::now() < deadline,
             "enqueued commands did not start without a wait"
@@ -949,7 +1000,7 @@ fn host_commands_execute_eagerly_without_any_wait() {
     let q = dev.create_queue();
     let read = q.enqueue_read::<f32>(buf, &[]).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !read.is_complete().unwrap() {
+    while read.poll().is_none() {
         assert!(
             Instant::now() < deadline,
             "enqueued read did not execute without a wait"
@@ -1137,8 +1188,8 @@ fn lowered_parallelism_serializes_launches_despite_wide_pool() {
 #[test]
 fn serve_loop_low_priority_requests_complete_within_bounded_completions() {
     // The serving pattern: a latency-sensitive client runs closed-loop
-    // through a CompletionQueue (next launch submitted only after the
-    // previous completion drains) while low-priority requests are
+    // through completion callbacks feeding one channel (next launch
+    // submitted only after the previous completion drains) while low-priority requests are
     // admitted alongside it on a second queue. The busy client must not
     // starve them: every admitted low-priority request completes within
     // a bounded number of drained completions.
@@ -1161,7 +1212,13 @@ fn serve_loop_low_priority_requests_complete_within_bounded_completions() {
         })
         .collect();
 
-    let cq = CompletionQueue::new();
+    let (tx, rx) = mpsc::channel();
+    let watch = |ev: &Event, token: u64| {
+        let tx = tx.clone();
+        ev.on_complete(move |result| {
+            let _ = tx.send((token, result));
+        });
+    };
     let launch_high = || {
         let ev = q_high
             .enqueue_launch(
@@ -1175,7 +1232,7 @@ fn serve_loop_low_priority_requests_complete_within_bounded_completions() {
                 &[],
             )
             .unwrap();
-        cq.watch(&ev, HIGH);
+        watch(&ev, HIGH);
     };
 
     launch_high(); // prime the closed loop
@@ -1192,13 +1249,13 @@ fn serve_loop_low_priority_requests_complete_within_bounded_completions() {
                 &[],
             )
             .unwrap();
-        cq.watch(&low_ev, i as u64);
+        watch(&low_ev, i as u64);
         let mut drained = 0usize;
         loop {
-            let c = cq.next().expect("work in flight");
-            c.result.as_ref().unwrap();
+            let (token, result) = rx.recv().expect("work in flight");
+            result.unwrap();
             drained += 1;
-            if c.token == HIGH {
+            if token == HIGH {
                 assert!(
                     drained <= BOUND,
                     "low-priority request {i} starved: {drained} completions \
@@ -1206,16 +1263,17 @@ fn serve_loop_low_priority_requests_complete_within_bounded_completions() {
                 );
                 launch_high(); // closed loop: resubmit after the drain
             } else {
-                assert_eq!(c.token, i as u64, "tokens map back to requests");
+                assert_eq!(token, i as u64, "tokens map back to requests");
                 break;
             }
         }
     }
-    // Stop resubmitting; next() drains the in-flight tail and then
-    // reports dry.
-    while let Some(c) = cq.next() {
-        assert_eq!(c.token, HIGH);
-        c.result.unwrap();
+    // Stop resubmitting and drop the last sender outside a callback: the
+    // channel drains the in-flight tail and then reports dry.
+    drop(tx);
+    for (token, result) in rx {
+        assert_eq!(token, HIGH);
+        result.unwrap();
     }
     for &dst in &low_dsts {
         assert_eq!(dev.read_buffer::<f32>(dst).unwrap(), vec![6.0; BUF_LEN]);

@@ -13,12 +13,11 @@
 //! no-ops.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use kp_gpu_sim::{
-    BufferId, BufferUse, CompletionQueue, Device, DeviceConfig, DeviceGroup, ItemCtx, Kernel,
-    NdRange, SimError,
+    BufferId, BufferUse, Device, DeviceConfig, DeviceGroup, ItemCtx, Kernel, NdRange, SimError,
 };
 
 const BUF_LEN: usize = 64;
@@ -67,8 +66,9 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Number of live simulator threads (pool workers and cross-device
-/// bridges), or `None` where `/proc/self/task` does not exist.
+/// Number of live simulator threads (the pool workers, the only threads
+/// the simulator spawns), or `None` where `/proc/self/task` does not
+/// exist.
 fn thread_count() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
@@ -204,10 +204,10 @@ fn device_drop_joins_every_pool_worker() {
 }
 
 /// `DeviceGroup` churn: N pooled member devices per group, sharded
-/// launches, plus a cross-member wait (which spawns a one-shot bridge
-/// thread) — construction and drop must leave the process thread count
-/// untouched, and events held across the drop must resolve to the typed
-/// [`SimError::DeviceLost`], never hang or panic.
+/// launches, plus a cross-member wait — construction and drop must leave
+/// the process thread count untouched, and events held across the drop
+/// must resolve to the typed [`SimError::DeviceLost`], never hang or
+/// panic.
 #[test]
 fn device_group_drop_joins_member_pools_and_bridges() {
     let _serial = serial();
@@ -226,8 +226,9 @@ fn device_group_drop_joins_member_pools_and_bridges() {
             let dst = group.create_buffer::<f32>("d", BUF_LEN).unwrap();
             group.launch_sharded(&Scale { src, dst }, range).unwrap();
 
-            // A wait-list edge from the first member to the last spawns a
-            // cross-device bridge thread when n > 1; drop must join it.
+            // A wait-list edge from the first member to the last is a
+            // cross-device wait when n > 1; dropping the group mid-wait
+            // must neither hang nor leak.
             let qa = group.create_queue(0);
             let qb = group.create_queue(n - 1);
             let ea = qa.enqueue_read::<f32>(src, &[]).unwrap();
@@ -252,10 +253,71 @@ fn device_group_drop_joins_member_pools_and_bridges() {
     );
 }
 
-/// Serve-loop churn with the non-blocking completion layer: completion
-/// queues watching in-flight events, devices dropped mid-flight — the
-/// process thread count must come back to baseline, and every watched
-/// event must surface exactly one completion (`Ok` or the typed
+/// A command waiting on another device's event costs no thread: with one
+/// worker per device, the thread count stays at two however many foreign
+/// waits are in flight, and every wait releases once the event settles.
+#[test]
+fn cross_device_waits_spawn_no_threads() {
+    let _serial = serial();
+    let Some(baseline) = baseline() else {
+        eprintln!("skipping: /proc/self/task not available on this platform");
+        return;
+    };
+    {
+        let device = || {
+            let mut cfg = DeviceConfig::test_tiny();
+            cfg.parallelism = 1;
+            Device::new(cfg).unwrap()
+        };
+        let (mut dev_a, mut dev_b) = (device(), device());
+        let gbuf = dev_a.create_buffer::<f32>("g", 1).unwrap();
+        let buf_b = dev_b.create_buffer_from("b", &[3.0f32; BUF_LEN]).unwrap();
+        let (qa, qb) = (dev_a.create_queue(), dev_b.create_queue());
+
+        let gate = Arc::new(AtomicBool::new(false));
+        let _open = OpenOnDrop(Arc::clone(&gate));
+        let ea = qa
+            .enqueue_launch(
+                Gated {
+                    buf: gbuf,
+                    gate: Arc::clone(&gate),
+                },
+                NdRange::new_1d(1, 1).unwrap(),
+                &[],
+            )
+            .unwrap();
+        let reads: Vec<_> = (0..16)
+            .map(|_| {
+                qb.enqueue_read::<f32>(buf_b, std::slice::from_ref(&ea))
+                    .unwrap()
+            })
+            .collect();
+
+        assert_eq!(
+            thread_count_when(|n| n == baseline + 2),
+            baseline + 2,
+            "foreign waits must not spawn threads beyond one worker per device"
+        );
+        for read in &reads {
+            assert!(read.poll().is_none(), "a read ran before A's event settled");
+        }
+
+        gate.store(true, Ordering::Release);
+        for read in &reads {
+            assert_eq!(read.wait_read::<f32>().unwrap(), vec![3.0; BUF_LEN]);
+        }
+    }
+    assert_eq!(
+        thread_count_when(|n| n == baseline),
+        baseline,
+        "threads leaked after cross-device waits"
+    );
+}
+
+/// Serve-loop churn with the non-blocking completion layer: `on_complete`
+/// callbacks feeding one channel per round, devices dropped mid-flight —
+/// the process thread count must come back to baseline, and every
+/// watched event must surface exactly one completion (`Ok` or the typed
 /// [`SimError::DeviceLost`]), never zero and never two.
 #[test]
 fn serve_loop_churn_with_callbacks_leaves_no_threads() {
@@ -273,33 +335,36 @@ fn serve_loop_churn_with_callbacks_leaves_no_threads() {
         let src = dev.create_buffer_from("s", &[1.0f32; BUF_LEN]).unwrap();
         let dst = dev.create_buffer::<f32>("d", BUF_LEN).unwrap();
         let q = dev.create_queue();
-        let cq = CompletionQueue::new();
+        let (tx, rx) = mpsc::channel();
         let mut events = Vec::new();
-        for i in 0..8u64 {
+        for _ in 0..8 {
             let ev = q.enqueue_launch(Scale { src, dst }, range, &[]).unwrap();
-            cq.watch(&ev, i);
+            let tx = tx.clone();
+            ev.on_complete(move |result| {
+                let _ = tx.send(result);
+            });
             events.push(ev);
         }
+        drop(tx);
         if round % 2 == 0 {
             // Drain to dry, then drop the device.
             let mut seen = 0;
-            while let Some(c) = cq.next() {
-                c.result.unwrap();
+            for result in &rx {
+                result.unwrap();
                 seen += 1;
             }
             assert_eq!(seen, 8);
             drop((dev, q, events));
         } else {
             // Drop mid-flight: the device-drop path must fire every
-            // leftover callback (with DeviceLost), so the queue still
+            // leftover callback (with DeviceLost), so the channel still
             // drains to exactly one completion per watched event.
             drop((dev, q, events));
             let mut seen = 0;
-            while let Some(c) = cq.next() {
+            for result in &rx {
                 assert!(
-                    c.result.is_ok() || matches!(c.result, Err(SimError::DeviceLost)),
-                    "unexpected completion outcome: {:?}",
-                    c.result
+                    result.is_ok() || matches!(result, Err(SimError::DeviceLost)),
+                    "unexpected completion outcome: {result:?}"
                 );
                 seen += 1;
             }

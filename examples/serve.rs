@@ -4,8 +4,8 @@
 //! A request generator admits a window of concurrent perforation jobs
 //! (mixed apps, mixed error budgets), places each on the least-loaded
 //! member, enqueues it on that member's command queue, and harvests
-//! finished work through one `CompletionQueue` — no thread ever parks on
-//! an individual event. The repository benchmark's `serve` workload
+//! finished work through `Event::on_complete` callbacks feeding one
+//! channel — no thread ever parks on an individual event. The repository benchmark's `serve` workload
 //! (`perfbench/`, declared in `BENCHMARK.json`) measures this loop at
 //! full scale, with tuning-cache admission and SLA adaptation.
 //!
@@ -16,12 +16,13 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::mpsc;
 use std::time::Instant;
 
 use kernel_perforation::apps::suite;
 use kernel_perforation::core::{ApproxConfig, ImageBinding, PerforatedKernel};
 use kernel_perforation::data::synth;
-use kernel_perforation::gpu_sim::{CompletionQueue, DeviceConfig, DeviceGroup, Event, NdRange};
+use kernel_perforation::gpu_sim::{DeviceConfig, DeviceGroup, Event, NdRange};
 
 const SIZE: usize = 64;
 const REQUESTS: u64 = 200;
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Rows2:NN", ApproxConfig::rows2_nn((16, 16))),
     ];
 
-    let cq = CompletionQueue::new();
+    let (tx, rx) = mpsc::channel();
     let mut pending: HashMap<u64, (Event, Instant, usize, _)> = HashMap::new();
     let mut admitted = 0u64;
     let mut completed = 0u64;
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     while completed < REQUESTS {
         // Admission never waits on device work: place, make the frame
-        // resident (usually a no-op), enqueue, watch.
+        // resident (usually a no-op), enqueue, register a callback.
         while pending.len() < INFLIGHT && admitted < REQUESTS {
             let req = admitted;
             admitted += 1;
@@ -97,14 +98,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 *config,
             )?;
             let event = queues[member].enqueue_launch(kernel, range, &[])?;
-            cq.watch(&event, req);
+            let tx = tx.clone();
+            event.on_complete(move |result| {
+                let _ = tx.send((req, result));
+            });
             pending.insert(req, (event, Instant::now(), member, slot));
         }
         // Harvest: the drainer parks only when nothing is ready.
-        let first = cq.next().expect("requests in flight");
-        for c in std::iter::once(first).chain(cq.drain()) {
-            let (event, t0, member, slot) = pending.remove(&c.token).expect("tracked");
-            c.result?;
+        let first = rx.recv().expect("requests in flight");
+        for (req, result) in std::iter::once(first).chain(rx.try_iter()) {
+            let (event, t0, member, slot) = pending.remove(&req).expect("tracked");
+            result?;
             let report = event.wait_report()?; // settled: pure lookup
             sim_seconds += report.seconds;
             slots[member].push(slot);
